@@ -17,18 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .pauli_core import (
     PauliString,
     QubitHamiltonian,
-    apply_pauli,
     axes_to_word,
     expectation,
     oracle_limit,
+    pauli_plan,
 )
+from .spectra_oracle import exact_spectrum
 
 NATIVE_GATE_NAMES = frozenset({"GPI2", "RZ", "MS"})
 
@@ -346,6 +346,29 @@ def _apply_unitary_tensor(
     return np.moveaxis(out, tuple(range(k)), target_axes)
 
 
+def _rotation_plan(g: Gate, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(src, -i factor) of a PauliRotation's word on the whole register."""
+    full_axes = [0] * num_qubits
+    for q, a in zip(g.qubits, g.axes):
+        full_axes[q] = a
+    src, factor = pauli_plan(full_axes)
+    return src, -1j * factor
+
+
+def _rotate(amps: np.ndarray, src: np.ndarray, phase: np.ndarray, cos, sin) -> None:
+    """exp(-i theta P / 2) in place: amps <- cos amps + sin phase amps[src],
+    where P v = factor v[src], phase = -i factor, cos/sin are of theta/2.
+
+    ``amps`` may hold one state per column, with ``cos``/``sin`` one value
+    per column; the gather is the only temporary.
+    """
+    rotated = amps[src]
+    rotated *= phase
+    rotated *= sin
+    amps *= cos
+    amps += rotated
+
+
 def apply_gate(state: StateVector, g: Gate) -> StateVector:
     """Apply one gate in place and return the state."""
     n = state.num_qubits
@@ -353,14 +376,10 @@ def apply_gate(state: StateVector, g: Gate) -> StateVector:
         raise ValueError(f"gate targets {g.qubits} out of range for {n} qubits")
     if g.name == "PROT":
         (theta,) = g.angles
-        full_axes = [0] * n
-        for q, a in zip(g.qubits, g.axes):
-            full_axes[q] = a
-        word = PauliString(n, tuple(full_axes))
-        rotated = apply_pauli(word, state.amplitudes)
-        state.amplitudes = (
-            math.cos(theta / 2) * state.amplitudes - 1j * math.sin(theta / 2) * rotated
-        )
+        src, phase = _rotation_plan(g, n)
+        amps = state.amplitudes.copy()
+        _rotate(amps, src, phase, math.cos(theta / 2), math.sin(theta / 2))
+        state.amplitudes = amps
         return state
     mat = gate_matrix(g)
     tensor = state.amplitudes.reshape((2,) * n)
@@ -530,21 +549,60 @@ def adiabatic_circuit(
     return out
 
 
-@lru_cache(maxsize=128)
-def _cached_eigh(h: QubitHamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    dense = h.to_dense()
-    eigenvalues, eigenvectors = np.linalg.eigh(dense)
-    return eigenvalues, eigenvectors
-
-
 def exact_evolve(state: StateVector, h: QubitHamiltonian, t: float) -> StateVector:
     """exp(-i H t)|state> through the dense eigendecomposition (oracle)."""
     if state.num_qubits != h.num_qubits:
         raise ValueError("state/Hamiltonian qubit-count mismatch")
-    energies, vectors = _cached_eigh(h)
+    spectrum = exact_spectrum(h)
+    vectors = spectrum.eigenvectors
     coeffs = vectors.conj().T @ state.amplitudes
-    coeffs = coeffs * np.exp(-1j * energies * t)
+    coeffs = coeffs * np.exp(-1j * spectrum.eigenvalues * t)
     return StateVector(state.num_qubits, vectors @ coeffs)
+
+
+# --- precompiled product-formula kernel -------------------------------------
+
+
+@dataclass(frozen=True)
+class StepPlan:
+    """``trotter_step(h, dt)`` for any dt, compiled once.
+
+    Rotation g of the step is exp(-i angles[g] dt P_g / 2); ``plans[g]``
+    holds its gather index and its phase column (see ``_rotate``), in the
+    step's gate order.
+    """
+
+    angles: np.ndarray
+    plans: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def compile_step(h: QubitHamiltonian) -> StepPlan:
+    """Plans of ``trotter_step(h, 1.0)``; every angle is 2 c dt, linear in dt."""
+    gates = trotter_step(h, 1.0).gates
+    plans = []
+    for g in gates:
+        src, phase = _rotation_plan(g, h.num_qubits)
+        plans.append((src, phase[:, None]))
+    return StepPlan(np.array([g.angles[0] for g in gates]), tuple(plans))
+
+
+def evolve_columns(
+    plan: StepPlan, columns: np.ndarray, dts, n_steps: int = 1
+) -> np.ndarray:
+    """Advance column k of a (2^n, T) array by ``n_steps`` steps of length
+    ``dts[k]``, in place, one rotation at a time across all columns.
+
+    The half angles go through ``math.cos``/``math.sin`` as in
+    ``apply_gate``, so each column takes the same floating-point steps as
+    the gate-by-gate run of ``trotter_step(h, dts[k])``.
+    """
+    half = (np.multiply.outer(plan.angles, np.asarray(dts, dtype=float)) / 2.0).tolist()
+    cos = np.array([[math.cos(x) for x in row] for row in half])
+    sin = np.array([[math.sin(x) for x in row] for row in half])
+    for _ in range(n_steps):
+        for (src, phase), c, s in zip(plan.plans, cos, sin):
+            _rotate(columns, src, phase, c, s)
+    return columns
 
 
 # --- measurement ----------------------------------------------------------

@@ -33,7 +33,7 @@ from .hamiltonians import (
     load_qubit_hamiltonian,
 )
 from .noise_engine import NoiseModel, aria_noise_model
-from .pauli_core import PauliString, QubitHamiltonian, diagonal_part
+from .pauli_core import PauliString, QubitHamiltonian, diagonal_part, oracle_limit
 from .sgs_pipeline import (
     DEFAULT_ISING_TAU,
     DEFAULT_MOLECULE_TAU,
@@ -172,7 +172,10 @@ def _resolve_noise(token, config_dir: Path) -> NoiseModel | None:
         return aria_noise_model()
     if isinstance(token, str) and token.startswith("custom:"):
         path = (config_dir / token[len("custom:"):]).resolve()
-        raw = yaml.safe_load(path.read_text())
+        try:
+            raw = yaml.safe_load(path.read_text())
+        except (OSError, yaml.YAMLError) as exc:
+            raise ConfigError(f"noise: cannot read noise file {path}: {exc}") from None
         try:
             return NoiseModel(**raw)
         except (TypeError, ValueError) as exc:
@@ -449,7 +452,10 @@ def cmd_benchmark(args) -> int:
 
 def cmd_fit(args) -> int:
     path = Path(args.series).resolve()
-    series = TimeSeries.from_csv(path)
+    try:
+        series = TimeSeries.from_csv(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"series {path}: {exc}") from None
     fit = fit_gap(series, freq_hint=args.freq_hint)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -468,7 +474,17 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         updates["seed"] = args.seed
     if getattr(args, "shots", None) is not None:
         updates["shots"] = args.shots
-    return replace(cfg, **updates) if updates else cfg
+    try:
+        return replace(cfg, **updates)
+    except ValueError as exc:
+        raise ConfigError(f"command line: {exc}") from None
+
+
+def _check_environment() -> None:
+    try:
+        oracle_limit()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _config_snapshot(raw: dict, cfg: ExperimentConfig) -> dict:
@@ -540,6 +556,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.argv = list(argv) if argv is not None else sys.argv[1:]
     try:
+        _check_environment()
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

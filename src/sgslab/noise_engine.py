@@ -23,7 +23,7 @@ from .circuit_engine import (
     gate_matrix,
     readout_word,
 )
-from .pauli_core import PauliString, apply_pauli
+from .pauli_core import PauliString, pauli_plan
 
 DEFAULT_DENSITY_QUBIT_LIMIT = 8
 
@@ -144,11 +144,10 @@ class DensityMatrix:
         return float(np.trace(self.matrix).real)
 
     def expectation(self, o: PauliString) -> float:
-        """Tr(O rho), exact; O is applied column by column."""
-        applied = np.column_stack(
-            [apply_pauli(o, self.matrix[:, k]) for k in range(self.matrix.shape[1])]
-        )
-        return float(np.trace(applied).real)
+        """Tr(O rho) = sum_i O[i, src_i] rho[src_i, i], exact."""
+        src, factor = pauli_plan(o.axes)
+        diagonal = self.matrix[src, np.arange(src.size)]
+        return float((o.phase_coeff * np.sum(factor * diagonal)).real)
 
 
 def apply_gate_density(rho: DensityMatrix, g) -> DensityMatrix:

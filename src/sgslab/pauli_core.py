@@ -49,7 +49,10 @@ def oracle_limit() -> int:
     raw = os.environ.get("SGSLAB_ORACLE_LIMIT")
     if raw is None:
         return DEFAULT_ORACLE_LIMIT
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"SGSLAB_ORACLE_LIMIT must be an integer, got {raw!r}") from None
     if value < 1:
         raise ValueError(f"SGSLAB_ORACLE_LIMIT must be >= 1, got {value}")
     return value
@@ -176,27 +179,33 @@ def multiply(a: PauliString, b: PauliString) -> PauliString:
     return PauliString(a.num_qubits, tuple(axes), phase)
 
 
-def _flip_phase_masks(axes: Sequence[int], num_qubits: int) -> tuple[int, int, int]:
-    """Bit masks describing the action of a Pauli word on basis states.
+_Y_PHASE = (1.0, 1j, -1.0, -1j)  # i^k for k = 0..3
 
-    Returns (flip_mask, minus_mask, n_y): P|b> = i^n_y * (-1)^popcount(b & minus_mask)
-    * |b XOR flip_mask>, with qubit 0 as the most significant bit.
+
+def pauli_plan(axes: Sequence[int] | str) -> tuple[np.ndarray, np.ndarray]:
+    """Gather index and phase vector of a unit Pauli word: P v = factor * v[src].
+
+    With qubit 0 as the most significant bit, P|b> = i^n_y (-1)^{#Y,Z sites
+    set in b} |b XOR flip>, so row b of P v reads v[b XOR flip]. Every
+    matrix-free use of a word (statevector action, dense assembly, density
+    expectations, diagonal energies) derives it here.
     """
+    axes = _coerce_axes(axes)
+    n = len(axes)
     flip = 0
     minus = 0
     n_y = 0
-    n = num_qubits
     for q, a in enumerate(axes):
         bit = 1 << (n - 1 - q)
-        if a == 1:
+        if a in (1, 2):
             flip |= bit
-        elif a == 2:
-            flip |= bit
+        if a in (2, 3):
             minus |= bit
-            n_y += 1
-        elif a == 3:
-            minus |= bit
-    return flip, minus, n_y
+        n_y += a == 2
+    src = np.arange(1 << n) ^ flip
+    phase = _Y_PHASE[n_y % 4]
+    factor = np.where(np.bitwise_count(src & minus) & 1, -phase, phase).astype(complex)
+    return src, factor
 
 
 def apply_pauli(p: PauliString, amplitudes: np.ndarray) -> np.ndarray:
@@ -204,18 +213,12 @@ def apply_pauli(p: PauliString, amplitudes: np.ndarray) -> np.ndarray:
 
     ``amplitudes`` has length 2**n; returns a new array.
     """
-    n = p.num_qubits
-    dim = 1 << n
-    if amplitudes.shape[0] != dim:
-        raise ValueError(f"statevector length {amplitudes.shape[0]} != 2**{n}")
-    flip, minus, n_y = _flip_phase_masks(p.axes, n)
-    idx = np.arange(dim, dtype=np.uint64)
-    src = idx ^ np.uint64(flip)
-    parity = np.bitwise_count(src & np.uint64(minus)) & 1
-    phase = p.phase_coeff * (1j) ** n_y
-    out = amplitudes[src] * phase
-    out[parity == 1] *= -1.0
-    return out
+    if amplitudes.shape[0] != 1 << p.num_qubits:
+        raise ValueError(
+            f"statevector length {amplitudes.shape[0]} != 2**{p.num_qubits}"
+        )
+    src, factor = pauli_plan(p.axes)
+    return amplitudes[src] * (p.phase_coeff * factor)
 
 
 def expectation(p: PauliString, state) -> float:
@@ -305,23 +308,20 @@ class QubitHamiltonian:
         """Dense 2^n x 2^n Hermitian matrix (oracle use only)."""
         _check_oracle_size(self.num_qubits)
         dim = 1 << self.num_qubits
+        rows = np.arange(dim)
         out = np.zeros((dim, dim), dtype=complex)
-        eye = np.eye(dim, dtype=complex)
         for axes, coeff in self.terms:
-            p = PauliString(self.num_qubits, axes, coeff)
-            for col in range(dim):
-                out[:, col] += apply_pauli(p, eye[:, col])
+            src, factor = pauli_plan(axes)
+            out[rows, src] += coeff * factor
         return out
 
     def expectation(self, state) -> float:
-        amps = getattr(state, "amplitudes", state)
-        amps = np.asarray(amps)
-        return float(
-            sum(
-                np.vdot(amps, apply_pauli(PauliString(self.num_qubits, a, c), amps)).real
-                for a, c in self.terms
-            )
-        )
+        amps = np.asarray(getattr(state, "amplitudes", state))
+        total = 0.0
+        for axes, coeff in self.terms:
+            src, factor = pauli_plan(axes)
+            total += coeff * np.vdot(amps, factor * amps[src]).real
+        return float(total)
 
     def __repr__(self) -> str:
         body = " + ".join(f"({c:+g} {axes_to_word(a)})" for a, c in self.terms[:6])
@@ -358,12 +358,7 @@ def diagonal_energies(h: QubitHamiltonian) -> np.ndarray:
     if bad:
         raise ValueError(f"Hamiltonian is not diagonal; offending terms: {bad}")
     _check_oracle_size(h.num_qubits)
-    n = h.num_qubits
-    dim = 1 << n
-    idx = np.arange(dim, dtype=np.uint64)
-    energies = np.zeros(dim)
+    energies = np.zeros(1 << h.num_qubits)
     for axes, coeff in h.terms:
-        _, minus, _ = _flip_phase_masks(axes, n)
-        parity = np.bitwise_count(idx & np.uint64(minus)) & 1
-        energies += coeff * np.where(parity == 1, -1.0, 1.0)
+        energies += coeff * pauli_plan(axes)[1].real
     return energies

@@ -23,6 +23,8 @@ from .circuit_engine import (
     adiabatic_circuit,
     cnot,
     compile_native,
+    compile_step,
+    evolve_columns,
     hadamard,
     pauli_x,
     run_circuit,
@@ -59,7 +61,7 @@ class StepBudgetError(ValueError):
 
 
 class FitError(RuntimeError):
-    """Oscillation fit failed to converge from every starting point."""
+    """Oscillation fit failed to converge, or left the gap undetermined."""
 
 
 @dataclass(frozen=True)
@@ -151,6 +153,9 @@ class TimeSeries:
         sigmas = np.asarray(self.sigmas, dtype=float)
         if not (times.shape == values.shape == sigmas.shape) or times.ndim != 1:
             raise ValueError("times, values and sigmas must be equal-length 1-D")
+        for name, column in (("times", times), ("values", values), ("sigmas", sigmas)):
+            if not np.all(np.isfinite(column)):
+                raise ValueError(f"{name} must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
         if np.any(sigmas < 0):
@@ -310,24 +315,43 @@ def _measure_series(
 
     ``shots=None`` records exact expectation values with zero sigma (used
     by the window pilot). Exactly one of the prefix states is set.
+    Noiseless non-native series run on the precompiled step kernel, all
+    times at once for ``per_point``; native and noisy series simulate the
+    compiled native circuit gate by gate.
     """
     noisy = prefix_rho is not None
-    native = cfg.native_mode or noisy
-    all_steps = _evolution_steps(times, cfg)
     values = np.empty(len(times))
     sigmas = np.zeros(len(times))
 
-    def step_circuit(dt: float) -> Circuit:
-        return trotter_step(h, dt, native=native)
+    if cfg.native_mode or noisy:
+        # the native circuit (and its noise channels), gate by gate
+        circuits: dict[float, Circuit] = {}
 
-    def advance(state, dt: float, circuit: Circuit | None = None):
-        circuit = circuit if circuit is not None else step_circuit(dt)
-        if noisy:
-            return run_noisy(circuit, cfg.noise, initial=state)
-        return run_circuit(circuit, state)
+        def advance(state, dt: float):
+            if dt not in circuits:
+                circuits[dt] = trotter_step(h, dt, native=True)
+            if noisy:
+                return run_noisy(circuits[dt], cfg.noise, initial=state)
+            return run_circuit(circuits[dt], state)
 
+    else:
+        plan = compile_step(h)
+        if cfg.step_allocation == "per_point":
+            columns = np.repeat(prefix_pure.amplitudes[:, None], len(times), axis=1)
+            evolve_columns(plan, columns, times / cfg.evo_steps, cfg.evo_steps)
+            for k in range(len(times)):
+                state = StateVector(h.num_qubits, columns[:, k])
+                values[k], sigmas[k] = _measure_state(state, o, cfg, shots, k)
+            return values, sigmas
+
+        def advance(state, dt: float):
+            evolve_columns(plan, state.amplitudes[:, None], [dt])
+            return state
+
+    all_steps = _evolution_steps(times, cfg)
+    start = prefix_rho if noisy else prefix_pure
     if cfg.step_allocation == "cumulative" and not cfg.independent_points:
-        state = prefix_rho.copy() if noisy else prefix_pure.copy()
+        state = start.copy()
         prev_len = 0
         for k, steps in enumerate(all_steps):
             for dt in steps[prev_len:]:
@@ -336,10 +360,9 @@ def _measure_series(
             values[k], sigmas[k] = _measure_state(state, o, cfg, shots, k)
     else:
         for k, steps in enumerate(all_steps):
-            state = prefix_rho.copy() if noisy else prefix_pure.copy()
-            shared = step_circuit(steps[0]) if len(set(steps)) == 1 else None
+            state = start.copy()
             for dt in steps:
-                state = advance(state, dt, shared)
+                state = advance(state, dt)
             values[k], sigmas[k] = _measure_state(state, o, cfg, shots, k)
     return values, sigmas
 
@@ -591,7 +614,8 @@ def fit_gap(
 
     Starts from the grid-search minima (or the caller's hint), keeps the
     lowest-chi-square converged fit, and canonicalizes to rho >= 0,
-    theta in [0, 2pi), gap > 0. Raises FitError when nothing converges.
+    theta in [0, 2pi), gap > 0. Raises FitError when nothing converges or
+    the gap's standard error is not finite.
     """
     if len(series) < 5:
         raise ValueError("need at least 5 points to fit 4 parameters")
@@ -648,6 +672,8 @@ def fit_gap(
     theta %= 2.0 * math.pi
     pcov = jac @ pcov @ jac.T
     errs = np.sqrt(np.abs(np.diag(pcov)))
+    if not math.isfinite(errs[2]):
+        raise FitError(f"gap standard error is {errs[2]}: the series shows no tone")
     reduced = chi2 / max(len(series) - 4, 1)
     return FitResult(
         gap=omega,

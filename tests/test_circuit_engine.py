@@ -21,6 +21,8 @@ from sgslab.circuit_engine import (
     circuit_unitary,
     cnot,
     compile_native,
+    compile_step,
+    evolve_columns,
     exact_evolve,
     gate_matrix,
     gpi2,
@@ -326,6 +328,30 @@ class TestExactEvolve:
             )
             errs.append(np.linalg.norm(state.amplitudes - want))
         assert errs[1] < errs[0] * 0.2
+
+
+class TestStepKernel:
+    """The precompiled step kernel against the gate-by-gate trotter_step run."""
+
+    @staticmethod
+    def hamiltonian(kind, rng):
+        if kind == "ising":
+            return build_ising(IsingSpec.chain(5, 1.0, 2.3))
+        words = ("YIIII", "IYZII", "XYIZY", "ZZZZZ", "IIXXY", "YYIII", "IIIIX", "ZIIYI")
+        return QubitHamiltonian.from_terms(5, [(w, float(rng.normal())) for w in words])
+
+    @pytest.mark.parametrize("kind", ["y_multi_site", "ising"])
+    def test_batch_matches_gate_loop(self, rng, kind):
+        h = self.hamiltonian(kind, rng)
+        dts = np.array([0.05, 0.13, 0.31, 0.02])
+        start = np.column_stack([random_state(rng, 5) for _ in dts])
+        columns = evolve_columns(compile_step(h), start.copy(), dts, n_steps=4)
+        for k, dt in enumerate(dts):
+            step = trotter_step(h, dt)
+            state = StateVector(5, start[:, k].copy())
+            for _ in range(4):
+                run_circuit(step, state)
+            np.testing.assert_allclose(columns[:, k], state.amplitudes, atol=1e-12)
 
 
 class TestMeasurement:

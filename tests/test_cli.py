@@ -302,3 +302,45 @@ class TestFailureHandling:
         point = json.loads((out / "result.json").read_text())["points"][0]
         assert "noiseless_reference" in point
         assert point["fit"]["rho"] < point["noiseless_reference"]["rho"]
+
+
+class TestInputErrors:
+    """Bad input ends in exit code 2 and a message naming the field."""
+
+    def run(self, argv, capsys):
+        status = main(argv)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return status, err
+
+    def test_zero_shots(self, tmp_path, capsys):
+        cfg = small_ising_config(tmp_path)
+        status, err = self.run(
+            ["ising", "--config", str(cfg), "--out", str(tmp_path / "o"), "--shots", "0"],
+            capsys,
+        )
+        assert status == 2
+        assert "shots" in err
+
+    def test_missing_custom_noise_file(self, tmp_path, capsys):
+        cfg = small_ising_config(tmp_path, noise="custom:absent.yaml")
+        status, err = self.run(
+            ["ising", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys
+        )
+        assert status == 2
+        assert "noise" in err and "absent.yaml" in err
+
+    def test_non_integer_oracle_limit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SGSLAB_ORACLE_LIMIT", "abc")
+        status, err = self.run(
+            ["benchmark", "--chain", "3", "--out", str(tmp_path / "o")], capsys
+        )
+        assert status == 2
+        assert "SGSLAB_ORACLE_LIMIT" in err
+
+    def test_nan_row_in_fit_series(self, tmp_path, capsys):
+        path = tmp_path / "series.csv"
+        path.write_text("t,mean,sigma\n0,0.1,0.01\n1,nan,0.01\n2,0.3,0.01\n")
+        status, err = self.run(["fit", str(path), "--out", str(tmp_path / "o")], capsys)
+        assert status == 2
+        assert "series.csv" in err and "finite" in err

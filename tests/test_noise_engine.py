@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import dense_pauli, random_state
 
 from sgslab.circuit_engine import (
     Circuit,
@@ -260,3 +260,14 @@ def test_gate_application_on_density_matches_pure(rng):
     np.testing.assert_allclose(
         rho.matrix, np.outer(pure.amplitudes, pure.amplitudes.conj()), atol=1e-12
     )
+
+
+def test_density_expectation_matches_trace(rng):
+    weights = rng.dirichlet(np.ones(3))
+    pure = [random_state(rng, 3) for _ in weights]
+    rho = DensityMatrix(3, sum(w * np.outer(v, v.conj()) for w, v in zip(weights, pure)))
+    for word in ("ZII", "XYZ", "YYI", "IXX", "III"):
+        for coeff in (1.0, -1.0):
+            o = PauliString.from_word(word, coeff)
+            want = np.trace(dense_pauli(o) @ rho.matrix).real
+            assert rho.expectation(o) == pytest.approx(want, abs=1e-14)

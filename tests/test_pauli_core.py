@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from sgslab.pauli_core import (
     expectation,
     multiply,
     oracle_limit,
+    pauli_plan,
 )
 
 
@@ -124,6 +127,12 @@ class TestToDense:
             dense = h.to_dense()
             np.testing.assert_allclose(dense, dense.conj().T, atol=1e-12)
 
+    def test_y_and_multi_site_terms_match_kron_sum(self, rng):
+        from conftest import random_hamiltonian
+
+        h = random_hamiltonian(rng, 4, num_terms=40)
+        np.testing.assert_allclose(h.to_dense(), dense_hamiltonian(h), rtol=0, atol=1e-14)
+
     def test_oracle_limit(self, monkeypatch):
         monkeypatch.setenv("SGSLAB_ORACLE_LIMIT", "2")
         assert oracle_limit() == 2
@@ -205,6 +214,15 @@ def test_apply_pauli_matches_dense(rng):
         p = random_pauli_string(rng, n, complex_coeff=True)
         v = random_state(rng, n)
         np.testing.assert_allclose(apply_pauli(p, v), dense_pauli(p) @ v, atol=1e-12)
+
+
+def test_pauli_plan_matches_dense_for_every_3_qubit_word():
+    rows = np.arange(8)
+    for axes in itertools.product(range(4), repeat=3):
+        src, factor = pauli_plan(axes)
+        dense = np.zeros((8, 8), dtype=complex)
+        dense[rows, src] = factor
+        np.testing.assert_array_equal(dense, PauliString(3, axes).to_dense())
 
 
 def test_canonical_ordering_and_pruning():

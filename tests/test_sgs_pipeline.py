@@ -7,15 +7,17 @@ from hypothesis import strategies as st
 
 from conftest import dense_hamiltonian
 
-from sgslab.circuit_engine import StateVector, run_circuit
+from sgslab.circuit_engine import StateVector, run_circuit, trotter_step
 from sgslab.hamiltonians import IsingSpec, build_ising, ising_auxiliary
 from sgslab.noise_engine import NoiseModel
 from sgslab.pauli_core import PauliString, QubitHamiltonian, diagonal_part
 from sgslab.sgs_pipeline import (
     ExperimentConfig,
+    FitError,
     StepBudgetError,
     TimeSeries,
     _evolution_steps,
+    _measure_series,
     chebyshev_times,
     default_sgs0_circuit,
     fit_gap,
@@ -232,6 +234,14 @@ class TestTimeSeries:
         np.testing.assert_array_equal(back.values, series.values)
         np.testing.assert_array_equal(back.sigmas, series.sigmas)
 
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, column, bad):
+        cols = [[0.0, 1.0, 2.0], [0.5, 0.1, -0.2], [0.01, 0.01, 0.01]]
+        cols[column][-1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            TimeSeries(*cols)
+
     def test_csv_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,value\n0,1\n")
@@ -334,6 +344,12 @@ class TestFitGap:
         series = TimeSeries(times, values, np.full_like(times, 0.01))
         fit = fit_gap(series)
         assert not fit.rho_significant
+
+    def test_constant_series_raises(self):
+        times = chebyshev_times(25, 0.0, 9.0)
+        series = TimeSeries(times, np.full_like(times, 0.3), np.full_like(times, 0.01))
+        with pytest.raises(FitError, match="standard error"):
+            fit_gap(series)
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
@@ -440,6 +456,33 @@ class TestRunExperiment:
         fit = fit_gap(series)
         gap = benchmark_gap(h, 0, 1)
         assert abs(fit.gap - gap) / gap < 0.05
+
+
+class TestSeriesKernel:
+    """Batched series against a gate-by-gate run of every trotter_step."""
+
+    @pytest.mark.parametrize(
+        "allocation,independent",
+        [("per_point", False), ("cumulative", False), ("cumulative", True)],
+    )
+    def test_matches_gate_loop(self, rng, allocation, independent):
+        from conftest import random_state
+
+        h = QubitHamiltonian.from_terms(
+            4, [("XYIZ", 0.7), ("IYYI", -0.4), ("ZIIZ", 0.9), ("IIXI", 0.3), ("YZXX", 0.2)]
+        )
+        o = PauliString.from_word("XIIY")
+        prefix = StateVector(4, random_state(rng, 4))
+        cfg = ExperimentConfig(tau=1.0, therm_steps=0, evo_steps=9,
+                               step_allocation=allocation, independent_points=independent)
+        times = chebyshev_times(cfg.evo_steps, 0.0, 2.5)
+        values, sigmas = _measure_series(h, o, prefix, None, times, cfg, shots=None)
+        for k, steps in enumerate(_evolution_steps(times, cfg)):
+            state = prefix.copy()
+            for dt in steps:
+                run_circuit(trotter_step(h, dt), state)
+            assert values[k] == pytest.approx(state.expectation(o), abs=1e-12)
+        np.testing.assert_array_equal(sigmas, 0.0)
 
 
 class TestMoreProperties:
