@@ -23,9 +23,8 @@ import numpy as np
 from .pauli_core import (
     PauliString,
     QubitHamiltonian,
-    axes_to_word,
+    check_oracle_size,
     expectation,
-    oracle_limit,
     pauli_plan,
 )
 from .spectra_oracle import exact_spectrum
@@ -55,14 +54,6 @@ class Gate:
     @property
     def num_targets(self) -> int:
         return len(self.qubits)
-
-    def dump_line(self) -> str:
-        name = self.name
-        if self.axes is not None:
-            name = f"PROT[{axes_to_word(self.axes)}]"
-        parts = [name] + [str(q) for q in self.qubits]
-        parts += [f"{a:.17g}" for a in self.angles]
-        return " ".join(parts)
 
 
 def gpi2(qubit: int, phi: float) -> Gate:
@@ -212,11 +203,6 @@ class Circuit:
                     layer_of_qubit[q] = layer
                 depth = max(depth, layer)
         return CircuitMetadata(n1, n2, depth)
-
-    def dump(self) -> str:
-        lines = [f"# qubits: {self.num_qubits}"]
-        lines += [g.dump_line() for g in self.gates]
-        return "\n".join(lines) + "\n"
 
 
 # --- native compilation -------------------------------------------------
@@ -401,9 +387,7 @@ def run_circuit(circuit: Circuit, state: StateVector | None = None) -> StateVect
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the whole circuit (oracle-sized registers only)."""
     n = circuit.num_qubits
-    limit = oracle_limit()
-    if n > limit:
-        raise ValueError(f"{n} qubits exceeds the dense-oracle limit of {limit}")
+    check_oracle_size(n)
     dim = 1 << n
     arr = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
     for g in circuit.gates:

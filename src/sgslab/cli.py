@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,10 +34,15 @@ from .hamiltonians import (
     load_qubit_hamiltonian,
 )
 from .noise_engine import NoiseModel, aria_noise_model
-from .pauli_core import PauliString, QubitHamiltonian, diagonal_part, oracle_limit
+from .pauli_core import (
+    PauliString,
+    QubitHamiltonian,
+    check_oracle_size,
+    diagonal_part,
+    oracle_limit,
+)
 from .sgs_pipeline import (
-    DEFAULT_ISING_TAU,
-    DEFAULT_MOLECULE_TAU,
+    STUDY_PRESETS,
     ExperimentConfig,
     FitError,
     TimeSeries,
@@ -45,7 +51,15 @@ from .sgs_pipeline import (
     run_experiment,
     select_aux_pair,
 )
-from .spectra_oracle import benchmark_gap, observable_search, search_report_csv
+from .spectra_oracle import (
+    DegenerateLevelsError,
+    benchmark_gap,
+    observable_search,
+    search_report_csv,
+)
+
+# The keys a config's ``experiment:`` block may set; noise has its own key.
+EXPERIMENT_KEYS = {f.name for f in fields(ExperimentConfig)} - {"noise"}
 
 
 class ConfigError(ValueError):
@@ -105,17 +119,6 @@ class RunManifest:
     tool: str = "sgslab"
     version: str = __version__
 
-    def to_dict(self) -> dict:
-        return {
-            "tool": self.tool,
-            "version": self.version,
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "input_digests": self.input_digests,
-            "created_utc": self.created_utc,
-        }
-
 
 def write_manifest(out_dir: Path, command: list[str], config: dict, seed: int,
                    input_paths: list[Path]) -> None:
@@ -126,7 +129,7 @@ def write_manifest(out_dir: Path, command: list[str], config: dict, seed: int,
         input_digests={str(p): _sha256(p) for p in sorted(set(input_paths))},
         created_utc=datetime.now(timezone.utc).isoformat(),
     )
-    _write_atomic(out_dir / "manifest.json", _json_text(manifest.to_dict()))
+    _write_atomic(out_dir / "manifest.json", _json_text(asdict(manifest)))
 
 
 # --- config loading ---------------------------------------------------------
@@ -138,31 +141,36 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _experiment_config(
-    raw: dict, defaults: dict, where: str, force_override: bool = False
-) -> ExperimentConfig:
-    merged = dict(defaults)
-    known = {
-        "tau", "therm_steps", "evo_steps", "shots", "seed", "time_window",
-        "native_mode", "step_allocation", "independent_points",
-        "target_periods", "max_step_norm", "override_step_budget",
-        "max_total_steps",
-    }
-    for key, value in (raw or {}).items():
-        if key not in known:
-            raise ConfigError(f"{where}.{key}: unknown field")
-        merged[key] = value
-    if force_override:
+def _number(value, where: str) -> float:
+    try:
+        number = float(value)
+        if math.isfinite(number):
+            return number
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+
+
+def _experiment_config(loaded: LoadedConfig, args) -> ExperimentConfig:
+    """The study's preset, overridden by the file's ``experiment:`` block,
+    overridden by the command-line flags."""
+    block = loaded.raw.get("experiment") or {}
+    if not isinstance(block, dict):
+        raise ConfigError(f"config.experiment: expected a mapping, got {block!r}")
+    for key in block:
+        if key not in EXPERIMENT_KEYS:
+            raise ConfigError(f"config.experiment.{key}: unknown field")
+    flags = {"seed": args.seed, "shots": args.shots}
+    merged = STUDY_PRESETS[loaded.study] | block
+    merged |= {key: value for key, value in flags.items() if value is not None}
+    if args.override_step_budget:
         merged["override_step_budget"] = True
-    if merged.get("time_window") is not None:
-        tw = merged["time_window"]
-        if not (isinstance(tw, (list, tuple)) and len(tw) == 2):
-            raise ConfigError(f"{where}.time_window: expected [t_min, t_max]")
-        merged["time_window"] = (float(tw[0]), float(tw[1]))
+    noise = args.noise if args.noise is not None else loaded.raw.get("noise")
+    merged["noise"] = _resolve_noise(noise, loaded.config_dir)
     try:
         return ExperimentConfig(**merged)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        raise ConfigError(f"experiment: {exc}") from None
 
 
 def _resolve_noise(token, config_dir: Path) -> NoiseModel | None:
@@ -193,218 +201,169 @@ class LoadedConfig:
 def load_config(path: Path) -> LoadedConfig:
     try:
         raw = yaml.safe_load(path.read_text())
+    except OSError as exc:
+        raise ConfigError(f"--config: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     study = _require(raw, "study", "config")
-    if study not in ("ising", "molecule"):
+    if study not in STUDIES:
         raise ConfigError(f"config.study: expected 'ising' or 'molecule', got {study!r}")
     return LoadedConfig(study, raw, path.parent.resolve())
 
 
-# --- shared run helpers ------------------------------------------------------
-
-
-def _fit_point(h, h0, observable, cfg, prep):
-    """Run and fit one sweep point; returns (fit, noiseless fit or None, series)."""
-    if cfg.noise is None:
-        series = run_experiment(h, h0, observable, cfg, prep=prep)
-        return fit_gap(series), None, series
-    clean_cfg = replace(cfg, noise=None)
-    clean_fit = fit_gap(run_experiment(h, h0, observable, clean_cfg, prep=prep))
-    series = run_experiment(h, h0, observable, cfg, prep=prep)
-    return fit_gap(series, freq_hint=clean_fit.gap), clean_fit, series
-
-
-def _benchmark_block(gap_exact: float, gap_fitted: float) -> dict:
-    rel = abs(gap_fitted - gap_exact) / abs(gap_exact) if gap_exact != 0 else float("inf")
-    return {
-        "gap_exact": gap_exact,
-        "gap_fitted": gap_fitted,
-        "relative_error": rel,
-    }
-
-
-def _ising_point(args):
-    (spec_kind, dims, j1, ratio, cfg) = args
-    if spec_kind == "chain":
-        spec = IsingSpec.chain(dims[0], j1, ratio * j1)
-    else:
-        spec = IsingSpec.lattice(dims[0], dims[1], j1, ratio * j1)
-    h = build_ising(spec)
-    h0 = ising_auxiliary(spec)
-    observable = ising_observable(spec.num_sites)
-    point = {
-        "label": f"{ratio:g}",
-        "h3_over_j1": ratio,
-        "observable": observable.word,
-    }
-    try:
-        fit, clean_fit, series = _fit_point(h, h0, observable, cfg, prep=None)
-    except FitError as exc:
-        point["fit_error"] = str(exc)
-        return point, None
-    gap_exact = benchmark_gap(h, 0, 1)
-    point["fit"] = fit.to_dict()
-    point["benchmark"] = _benchmark_block(gap_exact, fit.gap)
-    point["time_window"] = [float(series.times.min()), float(series.times.max())]
-    if clean_fit is not None:
-        point["noiseless_reference"] = clean_fit.to_dict()
-    return point, series
-
-
-def _molecule_point(args):
-    (label, path, fmt, cfg) = args
+def _load_hamiltonian(path: Path, fmt: str) -> QubitHamiltonian:
+    """A qubit or fermion Hamiltonian file, mapped to qubits and checked
+    against the dense-oracle limit of the exact benchmark."""
     if fmt == "fermion":
         h = jordan_wigner(load_fermion_hamiltonian(path))
     else:
         h = load_qubit_hamiltonian(path)
-    h0 = diagonal_part(h)
-    a, b = select_aux_pair(h0)
-    observable = xstring_observable(a, b)
-    prep = prepare_sgs0_basis_pair(a, b)
-    point = {
-        "label": label,
-        "input": str(path),
-        "aux_pair": [a, b],
-        "observable": observable.word,
-    }
+    check_oracle_size(h.num_qubits)
+    return h
+
+
+# --- study points -------------------------------------------------------------
+#
+# A point is (result fields, h, h0, observable, prep): the fields open the
+# point's entry in result.json, and prep=None lets the pipeline infer the
+# starting superposition from h0.
+
+
+def _ising_points(raw: dict, config_dir: Path) -> list[tuple]:
+    geometry = raw.get("geometry", "chain")
+    if geometry == "chain":
+        keys = ("length",)
+    elif geometry == "lattice":
+        keys = ("rows", "cols")
+    else:
+        raise ConfigError(f"config.geometry: expected chain|lattice, got {geometry!r}")
+    dims = {key: _require(raw, key, "config") for key in keys}
+    for key, value in dims.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"config.{key}: expected an integer, got {value!r}")
+    j1 = _number(raw.get("j1", 1.0), "config.j1")
+    sweep = _require(raw, "sweep", "config")
+    if not isinstance(sweep, list) or not sweep:
+        raise ConfigError("config.sweep: expected a non-empty list of h3/J1 values")
+    points = []
+    for idx, value in enumerate(sweep):
+        ratio = _number(value, f"config.sweep[{idx}]")
+        try:
+            spec = IsingSpec(geometry, j1, ratio * j1, **dims)
+            check_oracle_size(spec.num_sites)
+        except ValueError as exc:
+            raise ConfigError(f"config: {exc}") from None
+        observable = ising_observable(spec.num_sites)
+        entry = {"label": f"{ratio:g}", "h3_over_j1": ratio, "observable": observable.word}
+        points.append((entry, build_ising(spec), ising_auxiliary(spec), observable, None))
+    return points
+
+
+def _molecule_points(raw: dict, config_dir: Path) -> list[tuple]:
+    inputs = _require(raw, "inputs", "config")
+    if not isinstance(inputs, list) or not inputs:
+        raise ConfigError("config.inputs: expected a non-empty list")
+    points = []
+    for idx, item in enumerate(inputs):
+        where = f"config.inputs[{idx}]"
+        if not isinstance(item, dict):
+            raise ConfigError(f"{where}: expected a mapping with label and path, got {item!r}")
+        label = str(_require(item, "label", where))
+        path = (config_dir / str(_require(item, "path", where))).resolve()
+        fmt = item.get("format", "qubit")
+        if fmt not in ("qubit", "fermion"):
+            raise ConfigError(f"{where}.format: expected qubit|fermion, got {fmt!r}")
+        try:
+            h = _load_hamiltonian(path, fmt)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{where}.path: {exc}") from None
+        h0 = diagonal_part(h)
+        a, b = select_aux_pair(h0)
+        observable = xstring_observable(a, b)
+        entry = {"label": label, "input": str(path), "aux_pair": [a, b],
+                 "observable": observable.word}
+        points.append((entry, h, h0, observable, prepare_sgs0_basis_pair(a, b)))
+    return points
+
+
+# study -> (point reader, first column of sweep.csv)
+STUDIES = {
+    "ising": (_ising_points, "h3_over_J1"),
+    "molecule": (_molecule_points, "bond_label"),
+}
+
+
+def _run_point(job) -> tuple[dict, TimeSeries | None]:
+    """Run and fit one point; returns its result.json entry and its series
+    (None when the fit failed). A noisy point first fits the noiseless
+    series and starts the noisy fit from that gap."""
+    study, cfg, (entry, h, h0, observable, prep) = job
+    clean_fit = None
     try:
-        fit, clean_fit, series = _fit_point(h, h0, observable, cfg, prep=prep)
+        if cfg.noise is not None:
+            clean_cfg = replace(cfg, noise=None)
+            clean_fit = fit_gap(run_experiment(h, h0, observable, clean_cfg, prep=prep))
+        series = run_experiment(h, h0, observable, cfg, prep=prep)
+        fit = fit_gap(series, freq_hint=None if clean_fit is None else clean_fit.gap)
     except FitError as exc:
-        point["fit_error"] = str(exc)
-        return point, None
+        return entry | {"fit_error": str(exc)}, None
     gap_exact = benchmark_gap(h, 0, 1)
-    point["fit"] = fit.to_dict()
-    point["benchmark"] = _benchmark_block(gap_exact, fit.gap)
-    point["rho_flagged"] = not fit.rho_significant
-    point["time_window"] = [float(series.times.min()), float(series.times.max())]
+    rel = abs(fit.gap - gap_exact) / abs(gap_exact) if gap_exact != 0 else float("inf")
+    point = entry | {
+        "fit": fit.to_dict(),
+        "benchmark": {"gap_exact": gap_exact, "gap_fitted": fit.gap, "relative_error": rel},
+        "time_window": [float(series.times.min()), float(series.times.max())],
+    }
+    if study == "molecule":
+        point["rho_flagged"] = not fit.rho_significant
     if clean_fit is not None:
         point["noiseless_reference"] = clean_fit.to_dict()
     return point, series
 
 
-def _run_points(worker, jobs, workers: int):
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, jobs))
-    return [worker(job) for job in jobs]
-
-
 def _sweep_csv(rows: list[dict], key_column: str) -> str:
     lines = [f"{key_column},gap_fit,gap_err,gap_exact,rel_error"]
-    for row in rows:
-        if "fit" not in row:
-            continue
-        lines.append(
-            f"{row['label']},{row['fit']['gap']:.17g},{row['fit']['gap_err']:.17g},"
-            f"{row['benchmark']['gap_exact']:.17g},{row['benchmark']['relative_error']:.17g}"
-        )
+    lines += [
+        f"{row['label']},{row['fit']['gap']:.17g},{row['fit']['gap_err']:.17g},"
+        f"{row['benchmark']['gap_exact']:.17g},{row['benchmark']['relative_error']:.17g}"
+        for row in rows if "fit" in row
+    ]
     return "\n".join(lines) + "\n"
-
-
-def _emit_outputs(out_dir: Path, study: str, points, series_list, key_column: str) -> int:
-    """Write all outputs; returns 1 when any point failed to fit."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for point, series in zip(points, series_list):
-        if series is not None:
-            series.to_csv(out_dir / f"series_{point['label'].replace('/', '_')}.csv")
-    _write_atomic(out_dir / "sweep.csv", _sweep_csv(points, key_column))
-    _write_atomic(out_dir / "result.json", _json_text({"study": study, "points": points}))
-    return 1 if any("fit_error" in p for p in points) else 0
 
 
 # --- subcommands -------------------------------------------------------------
 
 
-def cmd_ising(args) -> int:
+def cmd_study(args) -> int:
+    """Run every point of an ``ising`` or ``molecule`` config and write
+    the outputs; returns 1 when any point failed to fit."""
     loaded = load_config(Path(args.config))
-    if loaded.study != "ising":
-        raise ConfigError("config.study: expected 'ising' for this command")
-    raw = loaded.raw
-    geometry = raw.get("geometry", "chain")
-    if geometry == "chain":
-        dims = (int(_require(raw, "length", "config")),)
-    elif geometry == "lattice":
-        dims = (int(_require(raw, "rows", "config")), int(_require(raw, "cols", "config")))
+    if loaded.study != args.command:
+        raise ConfigError(f"config.study: expected {args.command!r} for this command")
+    read_points, key_column = STUDIES[loaded.study]
+    points = read_points(loaded.raw, loaded.config_dir)
+    cfg = _experiment_config(loaded, args)
+    jobs = [(loaded.study, cfg, point) for point in points]
+    if args.workers > 1:
+        with ProcessPoolExecutor(max_workers=min(args.workers, len(jobs))) as pool:
+            results = list(pool.map(_run_point, jobs))
     else:
-        raise ConfigError(f"config.geometry: expected chain|lattice, got {geometry!r}")
-    j1 = float(raw.get("j1", 1.0))
-    sweep = _require(raw, "sweep", "config")
-    if not isinstance(sweep, list) or not sweep:
-        raise ConfigError("config.sweep: expected a non-empty list of h3/J1 values")
-    sweep = [float(x) for x in sweep]
+        results = [_run_point(job) for job in jobs]
 
-    defaults = dict(
-        tau=DEFAULT_ISING_TAU, therm_steps=15, evo_steps=25,
-        step_allocation="per_point",
-    )
-    cfg = _experiment_config(
-        raw.get("experiment"), defaults, "config.experiment",
-        force_override=args.override_step_budget,
-    )
-    cfg = _apply_overrides(cfg, args)
-    noise = _resolve_noise(
-        args.noise if args.noise is not None else raw.get("noise"), loaded.config_dir
-    )
-    if noise is not None:
-        cfg = replace(cfg, noise=noise)
-
-    jobs = [(geometry, dims, j1, ratio, cfg) for ratio in sweep]
-    results = _run_points(_ising_point, jobs, args.workers)
-    points = [p for p, _ in results]
-    series_list = [s for _, s in results]
     out_dir = Path(args.out)
-    status = _emit_outputs(out_dir, "ising", points, series_list, "h3_over_J1")
-    write_manifest(out_dir, args.argv, _config_snapshot(raw, cfg), cfg.seed, [])
-    return status
-
-
-def cmd_molecule(args) -> int:
-    loaded = load_config(Path(args.config))
-    if loaded.study != "molecule":
-        raise ConfigError("config.study: expected 'molecule' for this command")
-    raw = loaded.raw
-    inputs = _require(raw, "inputs", "config")
-    if not isinstance(inputs, list) or not inputs:
-        raise ConfigError("config.inputs: expected a non-empty list")
-    jobs = []
-    paths = []
-    for idx, item in enumerate(inputs):
-        where = f"config.inputs[{idx}]"
-        label = str(_require(item, "label", where))
-        path = (loaded.config_dir / str(_require(item, "path", where))).resolve()
-        if not path.exists():
-            raise ConfigError(f"{where}.path: {path} does not exist")
-        fmt = item.get("format", "qubit")
-        if fmt not in ("qubit", "fermion"):
-            raise ConfigError(f"{where}.format: expected qubit|fermion, got {fmt!r}")
-        paths.append(path)
-        jobs.append((label, path, fmt))
-
-    defaults = dict(
-        tau=DEFAULT_MOLECULE_TAU, therm_steps=5, evo_steps=35,
-        step_allocation="per_point",
-    )
-    cfg = _experiment_config(
-        raw.get("experiment"), defaults, "config.experiment",
-        force_override=args.override_step_budget,
-    )
-    cfg = _apply_overrides(cfg, args)
-    noise = _resolve_noise(
-        args.noise if args.noise is not None else raw.get("noise"), loaded.config_dir
-    )
-    if noise is not None:
-        cfg = replace(cfg, noise=noise)
-
-    results = _run_points(_molecule_point, [j + (cfg,) for j in jobs], args.workers)
-    points = [p for p, _ in results]
-    series_list = [s for _, s in results]
-    out_dir = Path(args.out)
-    status = _emit_outputs(out_dir, "molecule", points, series_list, "bond_label")
-    write_manifest(out_dir, args.argv, _config_snapshot(raw, cfg), cfg.seed, paths)
-    return status
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = [row for row, _ in results]
+    for row, series in results:
+        if series is not None:
+            series.to_csv(out_dir / f"series_{row['label'].replace('/', '_')}.csv")
+    _write_atomic(out_dir / "sweep.csv", _sweep_csv(rows, key_column))
+    _write_atomic(out_dir / "result.json", _json_text({"study": loaded.study, "points": rows}))
+    snapshot = {"file": loaded.raw, "resolved_experiment": asdict(cfg)}
+    inputs = [Path(entry["input"]) for entry, *_ in points if "input" in entry]
+    write_manifest(out_dir, args.argv, snapshot, cfg.seed, inputs)
+    return 1 if any("fit_error" in row for row in rows) else 0
 
 
 def _args_snapshot(args) -> dict:
@@ -412,23 +371,41 @@ def _args_snapshot(args) -> dict:
 
 
 def _hamiltonian_from_args(args) -> tuple[QubitHamiltonian, list[Path]]:
-    if args.hamiltonian:
-        path = Path(args.hamiltonian).resolve()
-        if args.format == "fermion":
-            return jordan_wigner(load_fermion_hamiltonian(path)), [path]
-        return load_qubit_hamiltonian(path), [path]
-    if args.chain:
-        spec = IsingSpec.chain(args.chain, args.j1, args.h3)
-    elif args.lattice:
-        spec = IsingSpec.lattice(args.lattice[0], args.lattice[1], args.j1, args.h3)
-    else:
+    """The Hamiltonian the flags name and its input files; also checks the
+    dense-oracle limit and the --levels pair."""
+    if not (args.hamiltonian or args.chain is not None or args.lattice is not None):
         raise ConfigError("provide --hamiltonian, --chain or --lattice")
-    return build_ising(spec), []
+    paths = [Path(args.hamiltonian).resolve()] if args.hamiltonian else []
+    try:
+        if paths:
+            flag = "--hamiltonian"
+            h = _load_hamiltonian(paths[0], args.format)
+        elif args.chain is not None:
+            flag = "--chain"
+            h = build_ising(IsingSpec.chain(args.chain, args.j1, args.h3))
+        else:
+            flag = "--lattice"
+            h = build_ising(IsingSpec.lattice(*args.lattice, args.j1, args.h3))
+        check_oracle_size(h.num_qubits)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+    # a gap needs I < J; a search ranks |<J|O|I>| for any two distinct levels
+    i, j = args.levels
+    lo, hi = (i, j) if args.command == "benchmark" else sorted(args.levels)
+    if not 0 <= lo < hi < 1 << h.num_qubits:
+        order = "I < J" if args.command == "benchmark" else "I != J"
+        raise ConfigError(f"--levels: need 0 <= I, J < {1 << h.num_qubits}, {order}; got {i} {j}")
+    return h, paths
 
 
 def cmd_search(args) -> int:
     h, paths = _hamiltonian_from_args(args)
-    records = observable_search(h, args.levels[0], args.levels[1], family=args.family)
+    try:
+        records = observable_search(h, args.levels[0], args.levels[1], family=args.family)
+    except DegenerateLevelsError as exc:
+        raise ConfigError(f"--levels: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"--family: {exc}") from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic(out_dir / "search.csv", search_report_csv(records))
@@ -468,42 +445,11 @@ def cmd_fit(args) -> int:
 # --- argument plumbing -------------------------------------------------------
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "shots", None) is not None:
-        updates["shots"] = args.shots
-    try:
-        return replace(cfg, **updates)
-    except ValueError as exc:
-        raise ConfigError(f"command line: {exc}") from None
-
-
 def _check_environment() -> None:
     try:
         oracle_limit()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _config_snapshot(raw: dict, cfg: ExperimentConfig) -> dict:
-    resolved = {
-        "tau": cfg.tau,
-        "therm_steps": cfg.therm_steps,
-        "evo_steps": cfg.evo_steps,
-        "shots": cfg.shots,
-        "seed": cfg.seed,
-        "time_window": list(cfg.time_window) if cfg.time_window else None,
-        "native_mode": cfg.native_mode,
-        "step_allocation": cfg.step_allocation,
-        "independent_points": cfg.independent_points,
-        "target_periods": cfg.target_periods,
-        "max_step_norm": cfg.max_step_norm,
-        "override_step_budget": cfg.override_step_budget,
-        "noise": cfg.noise.to_dict() if cfg.noise else None,
-    }
-    return {"file": raw, "resolved_experiment": resolved}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -516,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default="out", help="output directory")
 
-    for name, fn in (("ising", cmd_ising), ("molecule", cmd_molecule)):
+    for name in STUDIES:
         p = sub.add_parser(name, help=f"run the {name} study")
         p.add_argument("--config", required=True, help="YAML config file")
         common(p)
@@ -527,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--workers", type=int, default=1, help="parallel sweep points")
         p.add_argument("--override-step-budget", action="store_true")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_study)
 
     for name, fn in (("search", cmd_search), ("benchmark", cmd_benchmark)):
         p = sub.add_parser(name, help=f"{name} from an exact diagonalization")

@@ -85,17 +85,6 @@ class NoiseModel:
     def p_2q(self) -> float:
         return depolarizing_param(self.fidelity_2q, self.t_gate_2q, self.t1, self.t2)
 
-    def to_dict(self) -> dict:
-        return {
-            "fidelity_1q": self.fidelity_1q,
-            "fidelity_2q": self.fidelity_2q,
-            "t1": self.t1,
-            "t2": self.t2,
-            "t_gate_1q": self.t_gate_1q,
-            "t_gate_2q": self.t_gate_2q,
-            "readout_flip": self.readout_flip,
-        }
-
 
 def aria_noise_model() -> NoiseModel:
     """Aria-inspired preset: datasheet timing/readout figures plus the

@@ -58,7 +58,7 @@ def oracle_limit() -> int:
     return value
 
 
-def _check_oracle_size(num_qubits: int) -> None:
+def check_oracle_size(num_qubits: int) -> None:
     limit = oracle_limit()
     if num_qubits > limit:
         raise ValueError(
@@ -155,7 +155,7 @@ class PauliString:
         return PauliString(self.num_qubits, self.axes, coeff)
 
     def to_dense(self) -> np.ndarray:
-        _check_oracle_size(self.num_qubits)
+        check_oracle_size(self.num_qubits)
         out = np.array([[self.phase_coeff]])
         for a in self.axes:
             out = np.kron(out, _SIGMA[a])
@@ -306,7 +306,7 @@ class QubitHamiltonian:
 
     def to_dense(self) -> np.ndarray:
         """Dense 2^n x 2^n Hermitian matrix (oracle use only)."""
-        _check_oracle_size(self.num_qubits)
+        check_oracle_size(self.num_qubits)
         dim = 1 << self.num_qubits
         rows = np.arange(dim)
         out = np.zeros((dim, dim), dtype=complex)
@@ -357,7 +357,7 @@ def diagonal_energies(h: QubitHamiltonian) -> np.ndarray:
     bad = [axes_to_word(a) for a, _ in h.terms if not all(x in (0, 3) for x in a)]
     if bad:
         raise ValueError(f"Hamiltonian is not diagonal; offending terms: {bad}")
-    _check_oracle_size(h.num_qubits)
+    check_oracle_size(h.num_qubits)
     energies = np.zeros(1 << h.num_qubits)
     for axes, coeff in h.terms:
         energies += coeff * pauli_plan(axes)[1].real

@@ -10,12 +10,14 @@ offset + rho*cos(gap*t + theta) to extract the gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+import warnings
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Literal
 
 import numpy as np
-from scipy.optimize import curve_fit
+from scipy.optimize import OptimizeWarning, curve_fit
 
 from .circuit_engine import (
     Circuit,
@@ -48,12 +50,21 @@ SIGMA_FLOOR = 1e-4
 # 5-sigma single-tone threshold, guarding against pure-noise tones that a
 # free frequency can always soak up).
 DETECTION_DELTA_CHI2 = 25.0
+# What an ExperimentConfig field of each annotated type must hold.
+_FIELD_KINDS = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a finite number"),
+    "bool": (bool, "true or false"),
+}
 
-# Thermalization times shipped with the study presets; chosen so the
-# two-branch preparation fidelity check passes at 15 steps in the middle
-# of the coupling sweep (exposed as a plain config knob).
-DEFAULT_ISING_TAU = 7.0
-DEFAULT_MOLECULE_TAU = 2.0
+# Experiment presets of the two studies, the base that a config file's
+# ``experiment:`` block overrides. The thermalization times tau are chosen
+# so the two-branch preparation fidelity check passes at 15 steps in the
+# middle of the coupling sweep.
+STUDY_PRESETS = {
+    "ising": {"tau": 7.0, "therm_steps": 15, "evo_steps": 25, "step_allocation": "per_point"},
+    "molecule": {"tau": 2.0, "therm_steps": 5, "evo_steps": 35, "step_allocation": "per_point"},
+}
 
 
 class StepBudgetError(ValueError):
@@ -91,6 +102,15 @@ class ExperimentConfig:
     max_total_steps: int = DEFAULT_MAX_TOTAL_STEPS
 
     def __post_init__(self):
+        for f in fields(self):
+            kind, wanted = _FIELD_KINDS.get(f.type, (None, None))
+            value = getattr(self, f.name)
+            if kind and not (
+                isinstance(value, kind)
+                and isinstance(value, bool) == (kind is bool)
+                and math.isfinite(value)
+            ):
+                raise ValueError(f"{f.name} must be {wanted}, got {value!r}")
         if self.therm_steps < 0:
             raise ValueError("therm_steps must be >= 0")
         if self.therm_steps > 0 and self.tau <= 0:
@@ -102,9 +122,13 @@ class ExperimentConfig:
         if self.step_allocation not in ("cumulative", "per_point"):
             raise ValueError(f"unknown step_allocation {self.step_allocation!r}")
         if self.time_window is not None:
-            t_min, t_max = self.time_window
+            try:
+                t_min, t_max = (float(t) for t in self.time_window)
+            except (TypeError, ValueError):
+                t_min = t_max = math.nan
             if not (t_max > t_min >= 0.0):
-                raise ValueError("time_window needs t_max > t_min >= 0")
+                raise ValueError(f"time_window needs t_max > t_min >= 0, got {self.time_window!r}")
+            object.__setattr__(self, "time_window", (t_min, t_max))
         if self.target_periods <= 0 or self.max_step_norm <= 0:
             raise ValueError("target_periods and max_step_norm must be positive")
         total = self.therm_steps + self.evo_steps
@@ -117,26 +141,12 @@ class ExperimentConfig:
 
 def ising_experiment_config(**overrides) -> ExperimentConfig:
     """Ising-study preset: 15 thermalization + 25 evolution steps."""
-    base = dict(
-        tau=DEFAULT_ISING_TAU,
-        therm_steps=15,
-        evo_steps=25,
-        step_allocation="per_point",
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
+    return ExperimentConfig(**STUDY_PRESETS["ising"] | overrides)
 
 
 def molecule_experiment_config(**overrides) -> ExperimentConfig:
     """Molecule-study preset: 5 thermalization + 35 evolution steps."""
-    base = dict(
-        tau=DEFAULT_MOLECULE_TAU,
-        therm_steps=5,
-        evo_steps=35,
-        step_allocation="per_point",
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
+    return ExperimentConfig(**STUDY_PRESETS["molecule"] | overrides)
 
 
 @dataclass(frozen=True)
@@ -580,20 +590,9 @@ class FitResult:
     n_points: int
 
     def to_dict(self) -> dict:
-        return {
-            "gap": self.gap,
-            "rho": self.rho,
-            "theta": self.theta,
-            "offset": self.offset,
-            "gap_err": self.gap_err,
-            "rho_err": self.rho_err,
-            "theta_err": self.theta_err,
-            "offset_err": self.offset_err,
-            "covariance": [[float(x) for x in row] for row in self.covariance],
+        return asdict(self) | {
+            "covariance": self.covariance.tolist(),
             "covariance_order": ["offset", "rho", "gap", "theta"],
-            "reduced_chi_square": self.reduced_chi_square,
-            "rho_significant": self.rho_significant,
-            "n_points": self.n_points,
         }
 
     def predict(self, t) -> np.ndarray:
@@ -615,7 +614,7 @@ def fit_gap(
     Starts from the grid-search minima (or the caller's hint), keeps the
     lowest-chi-square converged fit, and canonicalizes to rho >= 0,
     theta in [0, 2pi), gap > 0. Raises FitError when nothing converges or
-    the gap's standard error is not finite.
+    the best fit's covariance is not finite.
     """
     if len(series) < 5:
         raise ValueError("need at least 5 points to fit 4 parameters")
@@ -633,15 +632,20 @@ def fit_gap(
         rho0 = math.hypot(a0, b0)
         theta0 = math.atan2(-b0, a0)
         try:
-            popt, pcov = curve_fit(
-                _oscillation,
-                times,
-                values,
-                p0=[c0, rho0, omega0, theta0],
-                sigma=sigmas,
-                absolute_sigma=True,
-                maxfev=20000,
-            )
+            with warnings.catch_warnings():
+                # a singular Jacobian leaves pcov infinite; refused below
+                warnings.filterwarnings(
+                    "ignore", "Covariance of the parameters", OptimizeWarning
+                )
+                popt, pcov = curve_fit(
+                    _oscillation,
+                    times,
+                    values,
+                    p0=[c0, rho0, omega0, theta0],
+                    sigma=sigmas,
+                    absolute_sigma=True,
+                    maxfev=20000,
+                )
         except RuntimeError:
             continue
         resid = (_oscillation(times, *popt) - values) / sigmas
@@ -653,6 +657,8 @@ def fit_gap(
             f"oscillation fit did not converge from any of {len(starts)} starts"
         )
     chi2, popt, pcov = best
+    if not np.all(np.isfinite(pcov)):
+        raise FitError("gap standard error is not finite: the series shows no tone")
     w2 = weights * weights
     c_flat = float((w2 * values).sum() / w2.sum())
     flat_chi2 = float(np.sum(((values - c_flat) / sigmas) ** 2))
@@ -672,8 +678,6 @@ def fit_gap(
     theta %= 2.0 * math.pi
     pcov = jac @ pcov @ jac.T
     errs = np.sqrt(np.abs(np.diag(pcov)))
-    if not math.isfinite(errs[2]):
-        raise FitError(f"gap standard error is {errs[2]}: the series shows no tone")
     reduced = chi2 / max(len(series) - 4, 1)
     return FitResult(
         gap=omega,

@@ -17,7 +17,7 @@ from .pauli_core import (
     QubitHamiltonian,
     apply_pauli,
     axes_to_word,
-    oracle_limit,
+    check_oracle_size,
 )
 
 DEGENERACY_REL_TOL = 1e-10
@@ -55,10 +55,7 @@ class SpectrumResult:
 @lru_cache(maxsize=128)
 def exact_spectrum(h: QubitHamiltonian) -> SpectrumResult:
     """Full Hermitian eigendecomposition of the dense Hamiltonian."""
-    if h.num_qubits > oracle_limit():
-        raise ValueError(
-            f"{h.num_qubits} qubits exceeds the dense-oracle limit of {oracle_limit()}"
-        )
+    check_oracle_size(h.num_qubits)
     eigenvalues, eigenvectors = np.linalg.eigh(h.to_dense())
     eigenvalues.setflags(write=False)
     eigenvectors.setflags(write=False)

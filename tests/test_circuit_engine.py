@@ -433,17 +433,6 @@ class TestMeasurement:
             assert np.var(means) == pytest.approx(want, rel=0.2)
 
 
-def test_circuit_dump_stable():
-    circuit = Circuit(2, [hadamard(0), ms(0, 1, 0.0, 0.0, math.pi / 2), rz(1, 0.25)])
-    dump = circuit.dump()
-    assert dump == Circuit(2, list(circuit.gates)).dump()
-    assert "MS 0 1" in dump
-    lines = dump.strip().splitlines()
-    assert lines[0] == "# qubits: 2"
-    circuit2 = Circuit(2, [pauli_rotation((0, 1), (1, 3), 0.5)])
-    assert "PROT[XZ] 0 1 0.5" in circuit2.dump()
-
-
 def test_circuit_validates_targets():
     with pytest.raises(ValueError):
         Circuit(2, [rz(3, 0.1)])

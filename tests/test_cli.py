@@ -1,10 +1,12 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, REPO_ROOT
 
 from sgslab.cli import main, xstring_observable, ising_observable
 from sgslab.sgs_pipeline import TimeSeries, chebyshev_times
@@ -344,3 +346,88 @@ class TestInputErrors:
         status, err = self.run(["fit", str(path), "--out", str(tmp_path / "o")], capsys)
         assert status == 2
         assert "series.csv" in err and "finite" in err
+
+    @pytest.mark.parametrize("study, changes, field", [
+        ("ising", {"sweep": ["a"]}, "config.sweep[0]"),
+        ("ising", {"length": "abc"}, "config.length"),
+        ("ising", {"length": 0}, "length"),
+        ("ising", {"experiment": [1, 2]}, "config.experiment"),
+        ("ising", {"experiment": {"time_window": ["a", 1]}}, "time_window"),
+        ("ising", {"experiment": {"evo_steps": 10.5}}, "evo_steps"),
+        ("ising", {"experiment": {"shots": 64.7}}, "shots"),
+        ("ising", {"experiment": {"seed": 1.5}}, "seed"),
+        ("ising", {"experiment": {"tau": "abc"}}, "tau"),
+        ("molecule", {"inputs": ["h2.txt"]}, "config.inputs[0]"),
+        ("molecule", {"inputs": [{"label": "x", "path": "."}]}, "config.inputs[0].path"),
+        ("molecule", {"inputs": [{"label": "x", "path": "config.yaml"}]},
+         "config.inputs[0].path"),
+    ], ids=["sweep-item", "length-text", "length-zero", "experiment-list",
+            "time-window-item", "evo-steps-float", "shots-float", "seed-float",
+            "tau-text", "input-item", "input-directory", "input-not-hamiltonian"])
+    def test_bad_config_value(self, tmp_path, capsys, study, changes, field):
+        path = small_ising_config(tmp_path)
+        raw = yaml.safe_load(path.read_text())
+        if study == "molecule":
+            raw = {"study": "molecule"}
+        for key, value in changes.items():
+            if isinstance(value, dict) and isinstance(raw.get(key), dict):
+                raw[key].update(value)
+            else:
+                raw[key] = value
+        write_yaml(path, raw)
+        status, err = self.run(
+            [study, "--config", str(path), "--out", str(tmp_path / "o")], capsys
+        )
+        assert status == 2
+        assert field in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["benchmark", "--chain", "3", "--levels", "1", "0"], "--levels"),
+        (["search", "--chain", "3", "--levels", "0", "8"], "--levels"),
+        (["search", "--chain", "8"], "--family"),
+        (["search", "--chain", "4", "--h3", "0"], "--levels"),
+        (["benchmark", "--chain", "13"], "--chain"),
+        (["benchmark", "--chain", "0"], "--chain: chain length"),
+        (["benchmark", "--lattice", "0", "3"], "--lattice"),
+        (["benchmark", "--hamiltonian", "absent.txt"], "--hamiltonian"),
+    ], ids=["levels-reversed", "levels-out-of-range", "search-over-ceiling",
+            "degenerate-levels", "chain-over-oracle-limit", "chain-zero",
+            "lattice-zero", "missing-hamiltonian"])
+    def test_bad_oracle_flag(self, tmp_path, capsys, argv, flag):
+        status, err = self.run(argv + ["--out", str(tmp_path / "o")], capsys)
+        assert status == 2
+        assert flag in err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        status, err = self.run(
+            ["ising", "--config", str(tmp_path / "absent.yaml"), "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert status == 2
+        assert "--config" in err and "absent.yaml" in err
+
+
+class TestRunStudyScript:
+    """scripts/run_study.py picks the subcommand from the config's study field."""
+
+    def run(self, *args):
+        proc = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "scripts" / "run_study.py"), *args],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert "Traceback" not in proc.stderr
+        return proc.returncode, proc.stderr
+
+    @pytest.mark.parametrize("name", ["ising_1d_aria", "he2"])
+    def test_dispatches_on_study(self, name, tmp_path):
+        # --shots 0 fails at the experiment merge, which only the matching
+        # subcommand reaches; a mismatched one stops at config.study
+        status, err = self.run(name, "--shots", "0", "--out", str(tmp_path))
+        assert status == 2
+        assert "shots" in err and "config.study" not in err
+
+    def test_unknown_config_name(self):
+        status, err = self.run("no_such_study")
+        assert status == 2
+        assert "no_such_study.yaml" in err

@@ -194,6 +194,18 @@ class TestExperimentConfig:
             ExperimentConfig(tau=1.0, step_allocation="bogus")
         with pytest.raises(ValueError):
             ExperimentConfig(tau=1.0, time_window=(2.0, 1.0))
+        for field, value in (
+            ("evo_steps", 10.5), ("shots", 64.7), ("seed", 1.5), ("therm_steps", "5"),
+            ("max_total_steps", 40.0), ("shots", True), ("tau", "abc"),
+            ("tau", float("nan")), ("time_window", ("a", 1.0)), ("time_window", (1.0,)),
+        ):
+            with pytest.raises(ValueError, match=field):
+                ExperimentConfig(**{"tau": 1.0, field: value})
+
+    def test_time_window_list_becomes_float_tuple(self):
+        cfg = ExperimentConfig(tau=1.0, time_window=[0, 4])
+        assert cfg.time_window == (0.0, 4.0)
+        assert all(isinstance(t, float) for t in cfg.time_window)
 
 
 class TestEvolutionSteps:
@@ -345,6 +357,7 @@ class TestFitGap:
         fit = fit_gap(series)
         assert not fit.rho_significant
 
+    @pytest.mark.filterwarnings("error")
     def test_constant_series_raises(self):
         times = chebyshev_times(25, 0.0, 9.0)
         series = TimeSeries(times, np.full_like(times, 0.3), np.full_like(times, 0.01))
