@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,6 +29,9 @@ from .pauli_core import (
     pauli_plan,
 )
 from .spectra_oracle import exact_spectrum
+
+if TYPE_CHECKING:
+    from .noise_engine import NoiseModel
 
 NATIVE_GATE_NAMES = frozenset({"GPI2", "RZ", "MS"})
 
@@ -302,12 +306,6 @@ class StateVector:
         amps[0] = 1.0
         return cls(num_qubits, amps)
 
-    @classmethod
-    def from_amplitudes(cls, amplitudes) -> "StateVector":
-        amps = np.asarray(amplitudes, dtype=complex)
-        n = int(round(math.log2(amps.shape[0])))
-        return cls(n, amps.copy())
-
     def copy(self) -> "StateVector":
         return StateVector(self.num_qubits, self.amplitudes.copy())
 
@@ -332,10 +330,10 @@ def _apply_unitary_tensor(
     return np.moveaxis(out, tuple(range(k)), target_axes)
 
 
-def _rotation_plan(g: Gate, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(src, -i factor) of a PauliRotation's word on the whole register."""
+def _rotation_plan(qubits, axes, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(src, -i factor) of a Pauli word on the whole register."""
     full_axes = [0] * num_qubits
-    for q, a in zip(g.qubits, g.axes):
+    for q, a in zip(qubits, axes):
         full_axes[q] = a
     src, factor = pauli_plan(full_axes)
     return src, -1j * factor
@@ -346,7 +344,8 @@ def _rotate(amps: np.ndarray, src: np.ndarray, phase: np.ndarray, cos, sin) -> N
     where P v = factor v[src], phase = -i factor, cos/sin are of theta/2.
 
     ``amps`` may hold one state per column, with ``cos``/``sin`` one value
-    per column; the gather is the only temporary.
+    per column, or a (2^n, 2^n, T) density batch acted on along its first
+    axis; the gather is the only temporary.
     """
     rotated = amps[src]
     rotated *= phase
@@ -362,7 +361,7 @@ def apply_gate(state: StateVector, g: Gate) -> StateVector:
         raise ValueError(f"gate targets {g.qubits} out of range for {n} qubits")
     if g.name == "PROT":
         (theta,) = g.angles
-        src, phase = _rotation_plan(g, n)
+        src, phase = _rotation_plan(g.qubits, g.axes, n)
         amps = state.amplitudes.copy()
         _rotate(amps, src, phase, math.cos(theta / 2), math.sin(theta / 2))
         state.amplitudes = amps
@@ -544,30 +543,111 @@ def exact_evolve(state: StateVector, h: QubitHamiltonian, t: float) -> StateVect
     return StateVector(state.num_qubits, vectors @ coeffs)
 
 
-# --- precompiled product-formula kernel -------------------------------------
+# --- precompiled Pauli-rotation kernel ---------------------------------------
+#
+# Every gate is a product of rotations exp(-i theta P / 2) about unit Pauli
+# words P, exactly or (H, X, CNOT, through compile_native) up to a global
+# phase. Identities used, matrix products read right to left:
+#   RZ(t)          = exp(-i t Z / 2)
+#   MS(0, 0, t)    = exp(-i t XX / 2)
+#   GPI2(0), GPI2(pi)          = rotations by pi/2, -pi/2 about X
+#   GPI2(pi/2), GPI2(-pi/2)    = rotations by pi/2, -pi/2 about Y
+#   GPI2(phi)      = RZ(phi) GPI2(0) RZ(-phi)
+#   MS(p0, p1, t)  = RZ_0(p0) RZ_1(p1) MS(0, 0, t) RZ_0(-p0) RZ_1(-p1)
+
+_GPI2_ROTATIONS = {
+    0.0: (1, math.pi / 2),
+    math.pi: (1, -math.pi / 2),
+    math.pi / 2: (2, math.pi / 2),
+    -math.pi / 2: (2, -math.pi / 2),
+}
+
+
+def _gate_rotations(g: Gate) -> list[tuple[tuple[int, ...], tuple[int, ...], float]]:
+    """``g`` as (qubits, axes, theta) rotations in execution order."""
+    if g.name == "PROT":
+        return [(g.qubits, g.axes, g.angles[0])]
+    if g.name == "RZ":
+        return [(g.qubits, (3,), g.angles[0])]
+    if g.name == "GPI2":
+        (phi,) = g.angles
+        if phi in _GPI2_ROTATIONS:
+            axis, theta = _GPI2_ROTATIONS[phi]
+            return [(g.qubits, (axis,), theta)]
+        return [(g.qubits, (3,), -phi), (g.qubits, (1,), math.pi / 2), (g.qubits, (3,), phi)]
+    if g.name == "MS":
+        *phis, theta = g.angles
+        frame = [((q,), (3,), phi) for q, phi in zip(g.qubits, phis) if phi != 0.0]
+        unframe = [(q, a, -phi) for q, a, phi in frame]
+        return unframe + [(g.qubits, (1, 1), theta)] + frame
+    return [r for sub in _compile_gate(g) for r in _gate_rotations(sub)]
 
 
 @dataclass(frozen=True)
 class StepPlan:
-    """``trotter_step(h, dt)`` for any dt, compiled once.
+    """A gate sequence compiled once into Pauli rotations.
 
-    Rotation g of the step is exp(-i angles[g] dt P_g / 2); ``plans[g]``
-    holds its gather index and its phase column (see ``_rotate``), in the
-    step's gate order.
+    Rotation r turns by ``slopes[r] * dt + intercepts[r]`` at step length
+    dt; ``plans[r]`` holds its gather index and phase (see ``_rotate``).
+    ``channels[r]`` is ``(targets, p)``, the depolarizing channels that
+    follow rotation r: the last rotation of each gate carries the gate's
+    targets when the plan's noise model gives it p > 0, every other
+    rotation ``((), 0.0)``.
     """
 
-    angles: np.ndarray
+    slopes: np.ndarray
+    intercepts: np.ndarray
     plans: tuple[tuple[np.ndarray, np.ndarray], ...]
+    channels: tuple[tuple[tuple[int, ...], float], ...]
+
+    def half_angle_trig(self, dts) -> tuple[np.ndarray, np.ndarray]:
+        """(cos, sin) of every rotation's half angle, one column per dt.
+
+        They go through ``math.cos``/``math.sin`` as in ``apply_gate``, so
+        each column takes the same floating-point steps as the gate list.
+        """
+        angles = np.multiply.outer(self.slopes, np.asarray(dts, dtype=float))
+        half = ((angles + self.intercepts[:, None]) / 2.0).tolist()
+        cos = np.array([[math.cos(x) for x in row] for row in half])
+        sin = np.array([[math.sin(x) for x in row] for row in half])
+        return cos, sin
 
 
-def compile_step(h: QubitHamiltonian) -> StepPlan:
-    """Plans of ``trotter_step(h, 1.0)``; every angle is 2 c dt, linear in dt."""
-    gates = trotter_step(h, 1.0).gates
-    plans = []
-    for g in gates:
-        src, phase = _rotation_plan(g, h.num_qubits)
-        plans.append((src, phase[:, None]))
-    return StepPlan(np.array([g.angles[0] for g in gates]), tuple(plans))
+def compile_gates(
+    at_one, at_zero, num_qubits: int, noise: NoiseModel | None = None
+) -> StepPlan:
+    """Plan of a gate sequence whose angles are linear in the step length.
+
+    ``at_one``/``at_zero`` are the sequence at dt = 1 and dt = 0 (pass the
+    same list twice for a fixed circuit); each rotation's slope and
+    intercept are read from them. With ``noise``, every gate is followed
+    by one depolarizing channel per target, with the model's one- or
+    two-qubit probability.
+    """
+    p1, p2 = (noise.p_1q(), noise.p_2q()) if noise is not None else (0.0, 0.0)
+    slopes, intercepts, plans, channels = [], [], [], []
+    for g1, g0 in zip(at_one, at_zero, strict=True):
+        rotations = list(zip(_gate_rotations(g1), _gate_rotations(g0), strict=True))
+        p = p1 if g1.num_targets == 1 else p2
+        for k, ((qubits, axes, theta1), (_, _, theta0)) in enumerate(rotations):
+            slopes.append(theta1 - theta0)
+            intercepts.append(theta0)
+            plans.append(_rotation_plan(qubits, axes, num_qubits))
+            last = k == len(rotations) - 1
+            channels.append((g1.qubits, p) if last and p > 0.0 else ((), 0.0))
+    return StepPlan(np.array(slopes), np.array(intercepts), tuple(plans), tuple(channels))
+
+
+def compile_step(
+    h: QubitHamiltonian, native: bool = False, noise: NoiseModel | None = None
+) -> StepPlan:
+    """Plan of ``trotter_step(h, dt, native)`` for any dt, compiled once."""
+    return compile_gates(
+        trotter_step(h, 1.0, native=native).gates,
+        trotter_step(h, 0.0, native=native).gates,
+        h.num_qubits,
+        noise,
+    )
 
 
 def evolve_columns(
@@ -575,17 +655,11 @@ def evolve_columns(
 ) -> np.ndarray:
     """Advance column k of a (2^n, T) array by ``n_steps`` steps of length
     ``dts[k]``, in place, one rotation at a time across all columns.
-
-    The half angles go through ``math.cos``/``math.sin`` as in
-    ``apply_gate``, so each column takes the same floating-point steps as
-    the gate-by-gate run of ``trotter_step(h, dts[k])``.
-    """
-    half = (np.multiply.outer(plan.angles, np.asarray(dts, dtype=float)) / 2.0).tolist()
-    cos = np.array([[math.cos(x) for x in row] for row in half])
-    sin = np.array([[math.sin(x) for x in row] for row in half])
+    The plan's noise channels do not apply to pure states."""
+    cos, sin = plan.half_angle_trig(dts)
     for _ in range(n_steps):
         for (src, phase), c, s in zip(plan.plans, cos, sin):
-            _rotate(columns, src, phase, c, s)
+            _rotate(columns, src, phase[:, None], c, s)
     return columns
 
 

@@ -46,6 +46,7 @@ from .sgs_pipeline import (
     ExperimentConfig,
     FitError,
     TimeSeries,
+    auto_time_window,
     fit_gap,
     prepare_sgs0_basis_pair,
     run_experiment,
@@ -154,7 +155,9 @@ def _number(value, where: str) -> float:
 def _experiment_config(loaded: LoadedConfig, args) -> ExperimentConfig:
     """The study's preset, overridden by the file's ``experiment:`` block,
     overridden by the command-line flags."""
-    block = loaded.raw.get("experiment") or {}
+    block = loaded.raw.get("experiment")
+    if block is None:
+        block = {}
     if not isinstance(block, dict):
         raise ConfigError(f"config.experiment: expected a mapping, got {block!r}")
     for key in block:
@@ -298,8 +301,11 @@ STUDIES = {
 def _run_point(job) -> tuple[dict, TimeSeries | None]:
     """Run and fit one point; returns its result.json entry and its series
     (None when the fit failed). A noisy point first fits the noiseless
-    series and starts the noisy fit from that gap."""
+    series and starts the noisy fit from that gap; both runs share one
+    window pilot."""
     study, cfg, (entry, h, h0, observable, prep) = job
+    if cfg.time_window is None:
+        cfg = replace(cfg, time_window=auto_time_window(h, h0, observable, cfg, prep=prep))
     clean_fit = None
     try:
         if cfg.noise is not None:
@@ -497,9 +503,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: a parser is a web of reference cycles, so one per
+# call would leave it to the cyclic collector after every in-process run.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     args.argv = list(argv) if argv is not None else sys.argv[1:]
     try:
         _check_environment()

@@ -148,12 +148,6 @@ class PauliString:
     def is_hermitian(self, tol: float = COEFF_PRUNE_TOL) -> bool:
         return abs(self.phase_coeff.imag) <= tol
 
-    def is_diagonal(self) -> bool:
-        return all(a in (0, 3) for a in self.axes)
-
-    def with_coeff(self, coeff: complex) -> "PauliString":
-        return PauliString(self.num_qubits, self.axes, coeff)
-
     def to_dense(self) -> np.ndarray:
         check_oracle_size(self.num_qubits)
         out = np.array([[self.phase_coeff]])
@@ -288,9 +282,6 @@ class QubitHamiltonian:
     def coeff_one_norm(self) -> float:
         """Sum of term coefficient magnitudes (bounds the spectral width)."""
         return float(sum(abs(c) for _, c in self.terms))
-
-    def pauli_strings(self) -> list[PauliString]:
-        return [PauliString(self.num_qubits, axes, c) for axes, c in self.terms]
 
     def scaled(self, factor: float) -> "QubitHamiltonian":
         return QubitHamiltonian(

@@ -31,11 +31,12 @@ from .circuit_engine import (
     pauli_x,
     run_circuit,
     sample_expectation,
-    trotter_step,
 )
 from .noise_engine import (
+    DENSITY_BATCH_BYTES,
     DensityMatrix,
     NoiseModel,
+    evolve_density,
     run_noisy,
     sample_expectation_noisy,
 )
@@ -45,6 +46,9 @@ DEFAULT_MAX_TOTAL_STEPS = 40
 DEFAULT_TARGET_PERIODS = 4.0
 DEFAULT_MAX_STEP_NORM = 4.0
 SIGMA_FLOOR = 1e-4
+# Omegas per stacked solve in frequency_grid_search; keeps its temporaries
+# at a few hundred kB.
+GRID_BLOCK = 256
 # Minimum chi-square improvement of the oscillation fit over the weighted
 # constant-only fit for the amplitude to count as detected (a roughly
 # 5-sigma single-tone threshold, guarding against pure-noise tones that a
@@ -315,65 +319,53 @@ def _evolution_steps(times: np.ndarray, cfg: ExperimentConfig) -> list[list[floa
 def _measure_series(
     h: QubitHamiltonian,
     o: PauliString,
-    prefix_pure: StateVector | None,
-    prefix_rho: DensityMatrix | None,
+    prefix: StateVector | DensityMatrix,
     times: np.ndarray,
     cfg: ExperimentConfig,
     shots: int | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evolve through the schedule and measure at each time.
 
+    ``prefix`` is the prepared state, a DensityMatrix for a noisy series.
     ``shots=None`` records exact expectation values with zero sigma (used
-    by the window pilot). Exactly one of the prefix states is set.
-    Noiseless non-native series run on the precompiled step kernel, all
-    times at once for ``per_point``; native and noisy series simulate the
-    compiled native circuit gate by gate.
+    by the window pilot). The precompiled step (native for native or noisy
+    series, with each native gate's depolarizing channels when noisy)
+    advances statevector (2^n, T) or density (2^n, 2^n, T) columns:
+    ``per_point`` evolves all times at once, density times in blocks of
+    at most ``DENSITY_BATCH_BYTES``; ``cumulative`` applies one step at a
+    time to one column.
     """
-    noisy = prefix_rho is not None
+    noisy = isinstance(prefix, DensityMatrix)
+    plan = compile_step(h, native=cfg.native_mode or noisy, noise=cfg.noise)
+    if noisy:
+        start, evolve, wrap = prefix.matrix, evolve_density, DensityMatrix
+        block = max(1, DENSITY_BATCH_BYTES // start.nbytes)
+    else:
+        start, evolve, wrap = prefix.amplitudes, evolve_columns, StateVector
+        block = len(times)
     values = np.empty(len(times))
     sigmas = np.zeros(len(times))
 
-    if cfg.native_mode or noisy:
-        # the native circuit (and its noise channels), gate by gate
-        circuits: dict[float, Circuit] = {}
+    def measure(k: int, column: np.ndarray) -> None:
+        state = wrap(h.num_qubits, column)
+        values[k], sigmas[k] = _measure_state(state, o, cfg, shots, k)
 
-        def advance(state, dt: float):
-            if dt not in circuits:
-                circuits[dt] = trotter_step(h, dt, native=True)
-            if noisy:
-                return run_noisy(circuits[dt], cfg.noise, initial=state)
-            return run_circuit(circuits[dt], state)
-
-    else:
-        plan = compile_step(h)
-        if cfg.step_allocation == "per_point":
-            columns = np.repeat(prefix_pure.amplitudes[:, None], len(times), axis=1)
-            evolve_columns(plan, columns, times / cfg.evo_steps, cfg.evo_steps)
-            for k in range(len(times)):
-                state = StateVector(h.num_qubits, columns[:, k])
-                values[k], sigmas[k] = _measure_state(state, o, cfg, shots, k)
-            return values, sigmas
-
-        def advance(state, dt: float):
-            evolve_columns(plan, state.amplitudes[:, None], [dt])
-            return state
-
-    all_steps = _evolution_steps(times, cfg)
-    start = prefix_rho if noisy else prefix_pure
-    if cfg.step_allocation == "cumulative" and not cfg.independent_points:
-        state = start.copy()
-        prev_len = 0
-        for k, steps in enumerate(all_steps):
-            for dt in steps[prev_len:]:
-                state = advance(state, dt)
-            prev_len = len(steps)
-            values[k], sigmas[k] = _measure_state(state, o, cfg, shots, k)
-    else:
-        for k, steps in enumerate(all_steps):
-            state = start.copy()
-            for dt in steps:
-                state = advance(state, dt)
-            values[k], sigmas[k] = _measure_state(state, o, cfg, shots, k)
+    if cfg.step_allocation == "per_point":
+        for lo in range(0, len(times), block):
+            chunk = times[lo:lo + block]
+            batch = np.repeat(start[..., None], len(chunk), axis=-1)
+            evolve(plan, batch, chunk / cfg.evo_steps, cfg.evo_steps)
+            for k in range(len(chunk)):
+                measure(lo + k, batch[..., k])
+        return values, sigmas
+    for k, steps in enumerate(_evolution_steps(times, cfg)):
+        if k == 0 or cfg.independent_points:
+            column = start[..., None].copy()
+        else:
+            steps = steps[-1:]
+        for dt in steps:
+            evolve(plan, column, [dt])
+        measure(k, column[..., 0])
     return values, sigmas
 
 
@@ -438,7 +430,7 @@ def auto_time_window(
         prep = prep if prep is not None else default_sgs0_circuit(h0)
         prefix = run_circuit(_prefix_circuit(h, h0, pilot_cfg, prep, native=False))
     pilot_times = chebyshev_times(cfg.evo_steps, 0.0, t_pilot)
-    values, _ = _measure_series(h, o, prefix, None, pilot_times, pilot_cfg, shots=None)
+    values, _ = _measure_series(h, o, prefix, pilot_times, pilot_cfg, shots=None)
     pilot = TimeSeries(pilot_times, values, np.zeros_like(values))
     search = frequency_grid_search(pilot)
     if search.significant and search.candidates.size:
@@ -472,23 +464,17 @@ def run_experiment(
     times = chebyshev_times(cfg.evo_steps, t_min, t_max)
 
     noisy = cfg.noise is not None
-    native = cfg.native_mode or noisy
     if initial_state is not None:
         if initial_state.num_qubits != h.num_qubits:
             raise ValueError("initial_state qubit-count mismatch")
-        prefix_pure = initial_state.copy()
+        prefix = initial_state.copy()
+        if noisy:
+            prefix = DensityMatrix.from_pure(prefix)
     else:
         prep = prep if prep is not None else default_sgs0_circuit(h0)
-        prefix_circuit = _prefix_circuit(h, h0, cfg, prep, native)
-        prefix_pure = None if noisy else run_circuit(prefix_circuit)
-    if noisy:
-        if initial_state is not None:
-            prefix_rho = DensityMatrix.from_pure(prefix_pure)
-        else:
-            prefix_rho = run_noisy(prefix_circuit, cfg.noise)
-        values, sigmas = _measure_series(h, o, None, prefix_rho, times, cfg, cfg.shots)
-    else:
-        values, sigmas = _measure_series(h, o, prefix_pure, None, times, cfg, cfg.shots)
+        prefix_circuit = _prefix_circuit(h, h0, cfg, prep, cfg.native_mode or noisy)
+        prefix = run_noisy(prefix_circuit, cfg.noise) if noisy else run_circuit(prefix_circuit)
+    values, sigmas = _measure_series(h, o, prefix, times, cfg, cfg.shots)
     return TimeSeries(times, values, sigmas)
 
 
@@ -518,6 +504,23 @@ def _linear_tone_fit(
     return sol, float(resid @ resid)
 
 
+def _tone_residuals(
+    omegas: np.ndarray, times: np.ndarray, ones: np.ndarray, yw: np.ndarray
+) -> np.ndarray:
+    """Weighted residual of the ``_linear_tone_fit`` of every omega at once:
+    one stacked 3x3 normal-equation solve, then the residual formed
+    explicitly as design @ sol - yw (y'y - b'x cancels on good fits)."""
+    phase = np.multiply.outer(omegas, times)
+    design = np.stack(
+        [np.broadcast_to(ones, phase.shape), np.cos(phase) * ones, np.sin(phase) * ones],
+        axis=-1,
+    )
+    gram = np.matmul(design.transpose(0, 2, 1), design)
+    sol = np.linalg.solve(gram, np.matmul(yw, design)[..., None])
+    resid = np.matmul(design, sol)[..., 0] - yw
+    return np.einsum("bn,bn->b", resid, resid)
+
+
 def frequency_grid_search(
     series: TimeSeries,
     n_candidates: int = 3,
@@ -541,12 +544,13 @@ def frequency_grid_search(
     omega_hi = math.pi / float(np.min(np.diff(times)))
     domega = math.pi / (window * oversample)
     omegas = np.arange(omega_lo, omega_hi, domega)
-    residuals = np.array(
-        [_linear_tone_fit(times, values, weights, w)[1] for w in omegas]
-    )
-
     ones = np.ones_like(times) * weights
     yw = values * weights
+    residuals = np.concatenate([
+        _tone_residuals(omegas[lo:lo + GRID_BLOCK], times, ones, yw)
+        for lo in range(0, len(omegas), GRID_BLOCK)
+    ])
+
     c_flat = float((ones @ yw) / (ones @ ones))
     flat_residual = float(np.sum((c_flat * ones - yw) ** 2))
 

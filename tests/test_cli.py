@@ -164,6 +164,23 @@ class TestIsingCommand:
         point = json.loads((out / "result.json").read_text())["points"][0]
         assert point["observable"] == "XIII"
 
+    def test_noisy_point_runs_one_pilot(self, tmp_path, monkeypatch):
+        import sgslab.cli as cli_mod
+        import sgslab.sgs_pipeline as pipeline
+
+        calls = []
+        original = pipeline.auto_time_window
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "auto_time_window", counted)
+        monkeypatch.setattr(pipeline, "auto_time_window", counted)
+        cfg = small_ising_config(tmp_path, sweep=[2.2, 2.5], noise="aria")
+        assert main(["ising", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 2
+
 
 class TestMoleculeCommand:
     def test_qubit_fixture_run(self, tmp_path):
@@ -352,6 +369,10 @@ class TestInputErrors:
         ("ising", {"length": "abc"}, "config.length"),
         ("ising", {"length": 0}, "length"),
         ("ising", {"experiment": [1, 2]}, "config.experiment"),
+        ("ising", {"experiment": []}, "config.experiment: expected a mapping"),
+        ("ising", {"experiment": 0}, "config.experiment: expected a mapping"),
+        ("ising", {"experiment": ""}, "config.experiment: expected a mapping"),
+        ("ising", {"experiment": False}, "config.experiment: expected a mapping"),
         ("ising", {"experiment": {"time_window": ["a", 1]}}, "time_window"),
         ("ising", {"experiment": {"evo_steps": 10.5}}, "evo_steps"),
         ("ising", {"experiment": {"shots": 64.7}}, "shots"),
@@ -362,6 +383,8 @@ class TestInputErrors:
         ("molecule", {"inputs": [{"label": "x", "path": "config.yaml"}]},
          "config.inputs[0].path"),
     ], ids=["sweep-item", "length-text", "length-zero", "experiment-list",
+            "experiment-empty-list", "experiment-zero", "experiment-empty-string",
+            "experiment-false",
             "time-window-item", "evo-steps-float", "shots-float", "seed-float",
             "tau-text", "input-item", "input-directory", "input-not-hamiltonian"])
     def test_bad_config_value(self, tmp_path, capsys, study, changes, field):

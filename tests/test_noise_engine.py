@@ -3,20 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_pauli, random_state
+from conftest import SIGMA, dense_pauli, kron_chain, random_state
 
 from sgslab.circuit_engine import (
     Circuit,
     StateVector,
+    circuit_unitary,
+    cnot,
     compile_native,
+    compile_step,
     gpi2,
     hadamard,
     ms,
     pauli_rotation,
+    pauli_x,
     run_circuit,
     rz,
     sample_expectation,
     time_evolution_circuit,
+    trotter_step,
 )
 from sgslab.hamiltonians import IsingSpec, build_ising
 from sgslab.noise_engine import (
@@ -26,11 +31,12 @@ from sgslab.noise_engine import (
     apply_gate_density,
     aria_noise_model,
     depolarizing_param,
+    evolve_density,
     noiseless_model,
     run_noisy,
     sample_expectation_noisy,
 )
-from sgslab.pauli_core import PauliString
+from sgslab.pauli_core import PauliString, QubitHamiltonian
 
 
 class TestDepolarizingParam:
@@ -271,3 +277,103 @@ def test_density_expectation_matches_trace(rng):
             o = PauliString.from_word(word, coeff)
             want = np.trace(dense_pauli(o) @ rho.matrix).real
             assert rho.expectation(o) == pytest.approx(want, abs=1e-14)
+
+
+# --- the batched density kernel against a gate-by-gate dense oracle ---------
+
+
+def random_density(rng, num_qubits, rank=3):
+    weights = rng.dirichlet(np.ones(rank))
+    pure = [random_state(rng, num_qubits) for _ in weights]
+    return sum(w * np.outer(v, v.conj()) for w, v in zip(weights, pure))
+
+
+def depolarize_oracle(matrix, num_qubits, qubit, p):
+    """(1 - p) rho + (p / 4) sum_P P_q rho P_q, which equals
+    (1 - p) rho + p (I/2 tensor Tr_q rho)."""
+    out = (1.0 - p) * matrix
+    for c in "IXYZ":
+        pq = kron_chain([SIGMA[c] if q == qubit else SIGMA["I"] for q in range(num_qubits)])
+        out = out + (p / 4.0) * pq @ matrix @ pq
+    return out
+
+
+def noisy_gate_loop(matrix, circuit, noise):
+    """One dense U rho U^dag per gate, then its depolarizing channels."""
+    n = circuit.num_qubits
+    for g in circuit.gates:
+        u = circuit_unitary(Circuit(n, [g]))
+        matrix = u @ matrix @ u.conj().T
+        p = noise.p_1q() if g.num_targets == 1 else noise.p_2q()
+        for q in g.qubits:
+            matrix = depolarize_oracle(matrix, n, q, p)
+    return matrix
+
+
+class TestDensityKernel:
+    @pytest.mark.parametrize("qubit", [0, 1, 2])
+    def test_depolarizing_matches_pauli_twirl(self, rng, qubit):
+        matrix = random_density(rng, 3)
+        rho = apply_depolarizing(DensityMatrix(3, matrix.copy()), qubit, 0.3)
+        np.testing.assert_allclose(
+            rho.matrix, depolarize_oracle(matrix, 3, qubit, 0.3), atol=1e-15
+        )
+
+    @pytest.mark.parametrize("gate", [
+        gpi2(1, 0.37),
+        ms(0, 2, 0.4, -1.3, 0.8),
+        ms(2, 1, 0.0, 0.9, -0.6),
+        gpi2(0, math.pi / 2),
+        gpi2(2, -math.pi),
+        rz(1, 2.1),
+        hadamard(2),
+        pauli_x(0),
+        cnot(2, 0),
+        pauli_rotation((0, 1, 2), (2, 1, 3), 0.7),
+    ], ids=["gpi2-0.37", "ms-phases", "ms-one-phase", "gpi2-y", "gpi2-minus-pi",
+            "rz", "h", "x", "cnot", "prot-3site"])
+    def test_gate_matches_conjugation(self, rng, gate):
+        matrix = random_density(rng, 3)
+        u = circuit_unitary(Circuit(3, [gate]))
+        rho = apply_gate_density(DensityMatrix(3, matrix.copy()), gate)
+        np.testing.assert_allclose(rho.matrix, u @ matrix @ u.conj().T, atol=1e-14)
+
+    def test_batch_equals_run_noisy(self, rng):
+        h = build_ising(IsingSpec.chain(3, 1.0, 2.3))
+        noise = aria_noise_model()
+        dts = np.array([0.07, 0.21, 0.4])
+        start = random_density(rng, 3)
+        batch = np.repeat(start[:, :, None], len(dts), axis=-1)
+        evolve_density(compile_step(h, native=True, noise=noise), batch, dts, n_steps=3)
+        for k, dt in enumerate(dts):
+            rho = DensityMatrix(3, start.copy())
+            for _ in range(3):
+                run_noisy(trotter_step(h, dt, native=True), noise, initial=rho)
+            np.testing.assert_array_equal(batch[:, :, k], rho.matrix)
+
+    def test_native_step_with_y_and_three_site_terms(self, rng):
+        h = QubitHamiltonian.from_terms(
+            3, [("YIZ", 0.6), ("XYX", -0.45), ("IZZ", 0.3), ("YII", 0.25), ("XXI", 0.8)]
+        )
+        noise = NoiseModel(fidelity_1q=0.999, fidelity_2q=0.98)
+        step = trotter_step(h, 1.0, native=True)
+        assert {g.name for g in step.gates} == {"GPI2", "RZ", "MS"}
+        dts = np.array([0.05, 0.3])
+        start = random_density(rng, 3)
+        batch = np.repeat(start[:, :, None], len(dts), axis=-1)
+        evolve_density(compile_step(h, native=True, noise=noise), batch, dts, n_steps=2)
+        for k, dt in enumerate(dts):
+            want = start
+            for _ in range(2):
+                want = noisy_gate_loop(want, trotter_step(h, dt, native=True), noise)
+            np.testing.assert_allclose(batch[:, :, k], want, atol=1e-14)
+
+    def test_run_noisy_with_multi_rotation_gates(self, rng):
+        # GPI2 off the axes, a phased MS, H and CNOT are several rotations
+        # each; the channels follow the whole gate
+        circuit = Circuit(3, [gpi2(1, 0.37), ms(0, 2, 0.4, -1.3, 0.8), hadamard(2),
+                              cnot(1, 0), rz(2, 0.5), pauli_x(1)])
+        noise = NoiseModel(fidelity_1q=0.99, fidelity_2q=0.95)
+        start = random_density(rng, 3)
+        rho = run_noisy(circuit, noise, initial=DensityMatrix(3, start.copy()))
+        np.testing.assert_allclose(rho.matrix, noisy_gate_loop(start, circuit, noise), atol=1e-14)

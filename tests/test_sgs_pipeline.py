@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import dense_hamiltonian
 
+from sgslab import sgs_pipeline
 from sgslab.circuit_engine import StateVector, run_circuit, trotter_step
 from sgslab.hamiltonians import IsingSpec, build_ising, ising_auxiliary
-from sgslab.noise_engine import NoiseModel
+from sgslab.noise_engine import DensityMatrix, NoiseModel, aria_noise_model, run_noisy
 from sgslab.pauli_core import PauliString, QubitHamiltonian, diagonal_part
 from sgslab.sgs_pipeline import (
     ExperimentConfig,
@@ -17,6 +18,7 @@ from sgslab.sgs_pipeline import (
     StepBudgetError,
     TimeSeries,
     _evolution_steps,
+    _linear_tone_fit,
     _measure_series,
     chebyshev_times,
     default_sgs0_circuit,
@@ -300,6 +302,46 @@ class TestGridSearch:
                 TimeSeries([0.0, 1.0, 2.0], [0.0, 1.0, 0.0], [0.1, 0.1, 0.1])
             )
 
+    @staticmethod
+    def lstsq_scan(series):
+        """The scan as one lstsq per omega: residuals, candidates, flag."""
+        times, values = series.times, series.values
+        weights = 1.0 / np.maximum(series.sigmas, sgs_pipeline.SIGMA_FLOOR)
+        window = float(times[-1] - times[0])
+        omegas = np.arange(
+            math.pi / (2.0 * window), math.pi / float(np.min(np.diff(times))),
+            math.pi / (window * 16),
+        )
+        residuals = np.array([_linear_tone_fit(times, values, weights, w)[1] for w in omegas])
+        yw = values * weights
+        flat = float(np.sum(((weights @ yw) / (weights @ weights) * weights - yw) ** 2))
+        interior = np.arange(1, len(omegas) - 1)
+        is_min = (residuals[interior] <= residuals[interior - 1]) & (
+            residuals[interior] <= residuals[interior + 1]
+        )
+        minima = interior[is_min]
+        minima = minima[np.argsort(residuals[minima], kind="stable")][:3]
+        return omegas, residuals, omegas[minima], residuals[minima[0]] < flat * 0.99 - 1e-300
+
+    @pytest.mark.parametrize("shots", [None, 512], ids=["shot-free", "noisy"])
+    def test_matches_lstsq_per_omega(self, shots):
+        # shots=None: exact values with sigma 0, floored like the pilot's
+        h = build_ising(IsingSpec.chain(3, 1.0, 2.6))
+        cfg = ExperimentConfig(tau=3.0, therm_steps=5, evo_steps=30, seed=3,
+                               step_allocation="per_point")
+        prefix = run_circuit(prepare_sgs0_ising(3))
+        times = chebyshev_times(cfg.evo_steps, 0.0, 6.0)
+        values, sigmas = _measure_series(
+            h, PauliString.from_word("XII"), prefix, times, cfg, shots)
+        series = TimeSeries(times, values, sigmas)
+        omegas, residuals, candidates, significant = self.lstsq_scan(series)
+        result = frequency_grid_search(series)
+        np.testing.assert_array_equal(result.omegas, omegas)
+        assert len(omegas) > sgs_pipeline.GRID_BLOCK  # more than one block
+        np.testing.assert_allclose(result.residuals, residuals, rtol=1e-12)
+        np.testing.assert_array_equal(result.candidates, candidates)
+        assert result.significant == significant
+
 
 class TestFitGap:
     def test_exact_recovery(self):
@@ -489,13 +531,58 @@ class TestSeriesKernel:
         cfg = ExperimentConfig(tau=1.0, therm_steps=0, evo_steps=9,
                                step_allocation=allocation, independent_points=independent)
         times = chebyshev_times(cfg.evo_steps, 0.0, 2.5)
-        values, sigmas = _measure_series(h, o, prefix, None, times, cfg, shots=None)
+        values, sigmas = _measure_series(h, o, prefix, times, cfg, shots=None)
         for k, steps in enumerate(_evolution_steps(times, cfg)):
             state = prefix.copy()
             for dt in steps:
                 run_circuit(trotter_step(h, dt), state)
             assert values[k] == pytest.approx(state.expectation(o), abs=1e-12)
         np.testing.assert_array_equal(sigmas, 0.0)
+
+
+    @pytest.mark.parametrize(
+        "allocation,independent,batch_bytes",
+        [("per_point", False, None), ("per_point", False, 3 * 64 * 16),
+         ("cumulative", False, None), ("cumulative", True, None)],
+        ids=["per_point", "per_point-blocks-of-3", "cumulative", "independent_points"],
+    )
+    def test_noisy_matches_run_noisy_loop(self, rng, monkeypatch, allocation,
+                                          independent, batch_bytes):
+        from conftest import random_state
+
+        if batch_bytes is not None:
+            monkeypatch.setattr(sgs_pipeline, "DENSITY_BATCH_BYTES", batch_bytes)
+        h = build_ising(IsingSpec.chain(3, 1.0, 2.2))
+        o = PauliString.from_word("XII")
+        noise = aria_noise_model()
+        prefix = DensityMatrix.from_pure(StateVector(3, random_state(rng, 3)))
+        cfg = ExperimentConfig(tau=1.0, therm_steps=0, evo_steps=8, noise=noise,
+                               step_allocation=allocation, independent_points=independent)
+        times = chebyshev_times(cfg.evo_steps, 0.0, 2.5)
+        values, _ = _measure_series(h, o, prefix, times, cfg, shots=None)
+        for k, steps in enumerate(_evolution_steps(times, cfg)):
+            rho = prefix.copy()
+            for dt in steps:
+                run_noisy(trotter_step(h, dt, native=True), noise, initial=rho)
+            assert values[k] == rho.expectation(o)
+
+    def test_native_matches_gate_loop(self, rng):
+        from conftest import random_state
+
+        h = QubitHamiltonian.from_terms(
+            4, [("XYIZ", 0.7), ("IYYI", -0.4), ("ZIIZ", 0.9), ("IIXI", 0.3), ("YZXX", 0.2)]
+        )
+        o = PauliString.from_word("XIIY")
+        prefix = StateVector(4, random_state(rng, 4))
+        cfg = ExperimentConfig(tau=1.0, therm_steps=0, evo_steps=9, native_mode=True,
+                               step_allocation="per_point")
+        times = chebyshev_times(cfg.evo_steps, 0.0, 2.5)
+        values, _ = _measure_series(h, o, prefix, times, cfg, shots=None)
+        for k, steps in enumerate(_evolution_steps(times, cfg)):
+            state = prefix.copy()
+            for dt in steps:
+                run_circuit(trotter_step(h, dt, native=True), state)
+            assert values[k] == pytest.approx(state.expectation(o), abs=1e-12)
 
 
 class TestMoreProperties:
