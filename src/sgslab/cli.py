@@ -54,6 +54,7 @@ from .sgs_pipeline import (
 )
 from .spectra_oracle import (
     DegenerateLevelsError,
+    SearchCeilingError,
     benchmark_gap,
     observable_search,
     search_report_csv,
@@ -218,7 +219,7 @@ def load_config(path: Path) -> LoadedConfig:
 
 def _load_hamiltonian(path: Path, fmt: str) -> QubitHamiltonian:
     """A qubit or fermion Hamiltonian file, mapped to qubits and checked
-    against the dense-oracle limit of the exact benchmark."""
+    against the oracle limit of the exact benchmark."""
     if fmt == "fermion":
         h = jordan_wigner(load_fermion_hamiltonian(path))
     else:
@@ -378,7 +379,7 @@ def _args_snapshot(args) -> dict:
 
 def _hamiltonian_from_args(args) -> tuple[QubitHamiltonian, list[Path]]:
     """The Hamiltonian the flags name and its input files; also checks the
-    dense-oracle limit and the --levels pair."""
+    oracle limit and the --levels pair."""
     if not (args.hamiltonian or args.chain is not None or args.lattice is not None):
         raise ConfigError("provide --hamiltonian, --chain or --lattice")
     paths = [Path(args.hamiltonian).resolve()] if args.hamiltonian else []
@@ -408,10 +409,10 @@ def cmd_search(args) -> int:
     h, paths = _hamiltonian_from_args(args)
     try:
         records = observable_search(h, args.levels[0], args.levels[1], family=args.family)
+    except SearchCeilingError as exc:
+        raise ConfigError(f"--family: {exc}") from None
     except DegenerateLevelsError as exc:
         raise ConfigError(f"--levels: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"--family: {exc}") from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic(out_dir / "search.csv", search_report_csv(records))

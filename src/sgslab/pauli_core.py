@@ -45,7 +45,7 @@ _MUL_PHASE = [
 
 
 def oracle_limit() -> int:
-    """Dense-oracle qubit ceiling, overridable via SGSLAB_ORACLE_LIMIT."""
+    """Oracle qubit ceiling (dense and Krylov), overridable via SGSLAB_ORACLE_LIMIT."""
     raw = os.environ.get("SGSLAB_ORACLE_LIMIT")
     if raw is None:
         return DEFAULT_ORACLE_LIMIT
@@ -62,7 +62,7 @@ def check_oracle_size(num_qubits: int) -> None:
     limit = oracle_limit()
     if num_qubits > limit:
         raise ValueError(
-            f"{num_qubits} qubits exceeds the dense-oracle limit of {limit} "
+            f"{num_qubits} qubits exceeds the oracle limit of {limit} "
             "(set SGSLAB_ORACLE_LIMIT to override)"
         )
 
@@ -295,15 +295,30 @@ class QubitHamiltonian:
             raise ValueError("qubit-count mismatch")
         return QubitHamiltonian(self.num_qubits, self.terms + other.terms)
 
+    def flip_plan(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The matrix as one gather per flip mask: H v = sum of diag * v[src].
+
+        Each (src, diag) pair is the ``pauli_plan`` gather shared by the terms
+        with that flip mask, and diag sums their ``coeff * factor`` in term
+        order, so every matrix entry adds the same terms in the same order
+        as a term-by-term scatter.
+        """
+        dim = 1 << self.num_qubits
+        groups: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for axes, coeff in self.terms:
+            src, factor = pauli_plan(axes)
+            _, diag = groups.setdefault(int(src[0]), (src, np.zeros(dim, dtype=complex)))
+            diag += coeff * factor
+        return list(groups.values())
+
     def to_dense(self) -> np.ndarray:
         """Dense 2^n x 2^n Hermitian matrix (oracle use only)."""
         check_oracle_size(self.num_qubits)
         dim = 1 << self.num_qubits
         rows = np.arange(dim)
         out = np.zeros((dim, dim), dtype=complex)
-        for axes, coeff in self.terms:
-            src, factor = pauli_plan(axes)
-            out[rows, src] += coeff * factor
+        for src, diag in self.flip_plan():
+            out[rows, src] = diag
         return out
 
     def expectation(self, state) -> float:

@@ -422,6 +422,19 @@ class TestInputErrors:
         assert status == 2
         assert flag in err
 
+    def test_search_solver_error_is_not_a_flag_error(self, tmp_path, monkeypatch):
+        # only the exhaustive ceiling is a --family error; anything else the
+        # search raises is a fault of the program and propagates
+        import sgslab.cli as cli_mod
+
+        def broken(*args, **kwargs):
+            raise ValueError("solver broke")
+
+        monkeypatch.setattr(cli_mod, "observable_search", broken)
+        with pytest.raises(ValueError, match="solver broke") as info:
+            main(["search", "--chain", "3", "--out", str(tmp_path / "o")])
+        assert not isinstance(info.value, cli_mod.ConfigError)
+
     def test_missing_config_file(self, tmp_path, capsys):
         status, err = self.run(
             ["ising", "--config", str(tmp_path / "absent.yaml"), "--out", str(tmp_path / "o")],

@@ -133,6 +133,23 @@ class TestToDense:
         h = random_hamiltonian(rng, 4, num_terms=40)
         np.testing.assert_allclose(h.to_dense(), dense_hamiltonian(h), rtol=0, atol=1e-14)
 
+    def test_flip_plan_is_bitwise_a_term_by_term_scatter(self, rng):
+        # reference: one scatter per term, in term order; 40 terms on 3
+        # qubits make every flip mask carry several terms
+        from conftest import random_hamiltonian
+
+        h = random_hamiltonian(rng, 3, num_terms=40)
+        rows = np.arange(8)
+        want = np.zeros((8, 8), dtype=complex)
+        for axes, coeff in h.terms:
+            src, factor = pauli_plan(axes)
+            want[rows, src] += coeff * factor
+        assert len(h.flip_plan()) < len(h.terms)
+        assert h.to_dense().tobytes() == want.tobytes()
+        v = random_state(rng, 3)
+        got = sum(diag * v[src] for src, diag in h.flip_plan())
+        np.testing.assert_allclose(got, want @ v, rtol=0, atol=1e-13)
+
     def test_oracle_limit(self, monkeypatch):
         monkeypatch.setenv("SGSLAB_ORACLE_LIMIT", "2")
         assert oracle_limit() == 2

@@ -1,18 +1,24 @@
+import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import dense_hamiltonian, dense_pauli, random_hamiltonian
+from conftest import dense_hamiltonian, dense_pauli, random_hamiltonian, random_state
 
 from sgslab.hamiltonians import IsingSpec, build_ising
-from sgslab.pauli_core import PauliString, QubitHamiltonian
+from sgslab.pauli_core import PauliString, QubitHamiltonian, apply_pauli
 from sgslab.spectra_oracle import (
     DegenerateLevelsError,
+    SearchRecord,
     benchmark_gap,
+    block_lanczos,
     coherence,
     exact_spectrum,
+    low_spectrum,
     observable_search,
+    pauli_transform,
     search_report_csv,
     sgs_closed_form,
     top_tied_words,
@@ -217,3 +223,173 @@ class TestClosedForm:
         assert arr.shape == times.shape
         for k, t in enumerate(times):
             assert arr[k] == pytest.approx(sgs_closed_form(h, o, 0, 1, float(t)))
+
+
+# --- the Krylov levels against dense eigh -------------------------------------
+
+
+def _random_y_hamiltonian(rng, n, num_terms):
+    """A random Pauli sum whose odd-Y terms make the matrix complex."""
+    h = random_hamiltonian(rng, n, num_terms=num_terms)
+    odd_y = (("Y" + "X" * (n - 2) + "Z", 0.7), ("I" * (n - 1) + "Y", 0.3))
+    return h + QubitHamiltonian.from_terms(n, odd_y)
+
+
+def _krylov_cases():
+    return [
+        build_ising(IsingSpec.chain(10, 1.0, 0.5)),
+        build_ising(IsingSpec.chain(10, 1.0, 1.0)),
+        build_ising(IsingSpec.chain(10, 1.0, 7.257)),
+        build_ising(IsingSpec.lattice(3, 3, 1.0, 1.0)),
+        _random_y_hamiltonian(np.random.default_rng(99), 9, 24),
+    ]
+
+
+class TestBlockLanczos:
+    @pytest.mark.parametrize("case", range(5), ids=[
+        "chain10-h0.5", "chain10-h1.0", "chain10-h7.257", "torus3x3", "random9-y"])
+    def test_levels_match_dense_eigh(self, case):
+        h = _krylov_cases()[case]
+        want = np.linalg.eigvalsh(dense_hamiltonian(h))[:3]
+        got = block_lanczos(h, 3)
+        np.testing.assert_allclose(got.eigenvalues, want, rtol=0, atol=1e-10)
+        vectors = got.eigenvectors
+        np.testing.assert_allclose(vectors.conj().T @ vectors, np.eye(3), atol=1e-12)
+        if case == 0:
+            # the ground pair at h3 = 0.5 is split by about 1.6e-4
+            assert 1e-4 < want[1] - want[0] < 2e-4
+
+    def test_y_terms_make_the_matrix_complex(self):
+        h = _krylov_cases()[4]
+        assert np.abs(dense_hamiltonian(h).imag).max() > 0.1
+
+    @pytest.mark.parametrize("h3", [0.0, 1.0, 5.0, 7.257])
+    def test_four_site_chain_four_levels(self, h3):
+        # 16 amplitudes with blocks of 5: the block loses rank before the
+        # four levels converge (levels 2 and 3 are degenerate)
+        h = build_ising(IsingSpec.chain(4, 1.0, h3))
+        dense = dense_hamiltonian(h)
+        got = block_lanczos(h, 4)
+        np.testing.assert_allclose(
+            got.eigenvalues, np.linalg.eigvalsh(dense)[:4], rtol=0, atol=1e-10
+        )
+        residual = dense @ got.eigenvectors - got.eigenvectors * got.eigenvalues
+        assert np.abs(residual).max() < 1e-10
+
+    def test_interaction_only_nine_chain(self):
+        h = build_ising(IsingSpec.chain(9, 1.0, 0.0))
+        assert benchmark_gap(h, 0, 1) == pytest.approx(0.0, abs=1e-10)
+        want = np.linalg.eigvalsh(dense_hamiltonian(h))
+        assert benchmark_gap(h, 0, 2) == pytest.approx(want[2] - want[0], abs=1e-10)
+
+    def test_degenerate_pair_refused(self):
+        h = build_ising(IsingSpec.chain(9, 1.0, 0.0))
+        with pytest.raises(DegenerateLevelsError):
+            observable_search(h, 0, 1, family="structured")
+
+    def test_bitwise_repeatable(self):
+        h = _krylov_cases()[4]
+        a, b = block_lanczos(h, 2), block_lanczos(h, 2)
+        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+        assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
+
+    def test_dense_path_is_a_slice_of_exact_spectrum(self):
+        h = build_ising(IsingSpec.chain(8, 1.0, 2.8))
+        full, low = exact_spectrum(h), low_spectrum(h, 3)
+        assert low.eigenvalues.tobytes() == full.eigenvalues[:3].tobytes()
+        assert low.eigenvectors.tobytes() == full.eigenvectors[:, :3].tobytes()
+        assert low.scale == full.scale
+
+    def test_no_dense_work_above_256_amplitudes(self, monkeypatch, tmp_path):
+        import sgslab.spectra_oracle as oracle
+        from sgslab.cli import main
+
+        def guarded(fn):
+            def call(h, *args):
+                if h.num_qubits > 8:
+                    raise AssertionError("dense diagonalization above 8 qubits")
+                return fn(h, *args)
+            return call
+
+        monkeypatch.setattr(QubitHamiltonian, "to_dense", guarded(QubitHamiltonian.to_dense))
+        monkeypatch.setattr(oracle, "exact_spectrum", guarded(oracle.exact_spectrum))
+        low_spectrum.cache_clear()
+        h = build_ising(IsingSpec.chain(9, 1.0, 1.7))
+        gap = benchmark_gap(h, 0, 1)
+        rho, _ = coherence(h, PauliString.from_word("X" + "I" * 8), 0, 1)
+        assert gap > 0 and rho > 0.1
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--chain", "9", "--h3", "1.7", "--out", str(out)]) == 0
+        assert json.loads((out / "result.json").read_text())["gap_exact"] == gap
+
+
+# --- the search transform against a per-word apply_pauli loop -----------------
+
+
+def _reference_elements(bra, ket, n):
+    """<bra|P|ket> for every word, one apply_pauli call per word."""
+    return {
+        "".join(w): complex(np.vdot(bra, apply_pauli(PauliString.from_word("".join(w)), ket)))
+        for w in itertools.product("IXYZ", repeat=n)
+    }
+
+
+def _reference_polar(element):
+    real = element.real if abs(element.real) > 1e-12 else 0.0
+    imag = element.imag if abs(element.imag) > 1e-12 else 0.0
+    rho = math.hypot(real, imag)
+    return rho, (math.atan2(imag, real) % (2 * math.pi)) if rho else 0.0
+
+
+def _assert_matches_reference(records, reference):
+    assert sorted(r.word for r in records) == sorted(reference)
+    polar = {word: _reference_polar(e) for word, e in reference.items()}
+    got = {r.word: r for r in records}
+    for word, (rho, theta) in polar.items():
+        assert got[word].rho == pytest.approx(rho, abs=1e-12)
+        assert (got[word].rho == 0.0) == (rho == 0.0), word
+        if rho > 1e-9:
+            turn = (got[word].theta - theta + math.pi) % (2 * math.pi) - math.pi
+            assert abs(turn) < 1e-9 / rho, word
+    ranked = sorted(polar, key=lambda w: (-polar[w][0], w))
+    want = [SearchRecord(w, *polar[w]) for w in ranked]
+    assert top_tied_words(records) == top_tied_words(want)
+    rhos = [r.rho for r in records]
+    assert rhos == sorted(rhos, reverse=True)
+    for a, b in zip(records, records[1:]):
+        if a.rho == b.rho:
+            assert a.word < b.word
+
+
+class TestPauliTransform:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_apply_pauli_on_random_states(self, rng, n):
+        bra, ket = random_state(rng, n), random_state(rng, n)
+        reference = _reference_elements(bra, ket, n)
+        table = pauli_transform(bra, ket)
+        for word, element in reference.items():
+            flip = int("".join("1" if c in "XY" else "0" for c in word), 2)
+            zs = int("".join("1" if c in "YZ" else "0" for c in word), 2)
+            assert abs(table[flip, zs] - element) < 1e-12, word
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_search_matches_apply_pauli(self, rng, n):
+        # Ising chains carry exact zeros (parity) and rho ties; random sums
+        # with Y terms carry complex elements
+        chain = build_ising(IsingSpec.chain(max(n, 2), 1.0, 2.0)) if n > 1 else (
+            QubitHamiltonian.from_terms(1, [("X", 1.0), ("Z", 0.4)]))
+        for h in (chain, random_hamiltonian(rng, n, num_terms=3 * n + 2)):
+            spectrum = exact_spectrum(h)
+            if spectrum.is_degenerate_pair(0, 1):
+                continue
+            reference = _reference_elements(spectrum.state(1), spectrum.state(0), n)
+            _assert_matches_reference(observable_search(h, 0, 1), reference)
+
+    def test_structured_family_uses_the_same_polar_form(self):
+        h = build_ising(IsingSpec.chain(5, 1.0, 3.0))
+        spectrum = exact_spectrum(h)
+        reference = _reference_elements(spectrum.state(1), spectrum.state(0), 5)
+        for record in observable_search(h, 0, 1, family="structured"):
+            rho, theta = _reference_polar(reference[record.word])
+            assert record.rho == pytest.approx(rho, abs=1e-12)
+            assert record.theta == pytest.approx(theta, abs=1e-9)
