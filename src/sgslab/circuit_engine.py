@@ -397,28 +397,25 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 # --- product formulas and schedules ---------------------------------------
 
 
-def is_ising_form(h: QubitHamiltonian) -> bool:
-    """True when every term is a two-site XX coupling or a single-site Z."""
-    has_xx = False
-    for axes, _ in h.terms:
-        nonid = [(q, a) for q, a in enumerate(axes) if a != 0]
-        if len(nonid) == 2 and all(a == 1 for _, a in nonid):
-            has_xx = True
-        elif len(nonid) == 1 and nonid[0][1] == 3:
-            continue
-        else:
-            return False
-    return has_xx
-
-
 def trotter_term_order(h: QubitHamiltonian) -> list[tuple[tuple[int, ...], float]]:
-    """Canonical lexicographic order; Ising-form couplings precede fields."""
-    terms = list(h.terms)
-    if is_ising_form(h):
-        couplings = [t for t in terms if sum(1 for a in t[0] if a != 0) == 2]
-        fields = [t for t in terms if sum(1 for a in t[0] if a != 0) == 1]
-        return couplings + fields
-    return terms
+    """The terms one product-formula step applies, in order.
+
+    Canonical lexicographic order without identity terms, which only
+    shift the global phase. In Ising form (every term a two-site XX
+    coupling or a single-site Z, with at least one coupling) the mutually
+    commuting couplings come first, scheduled into parallel entangling
+    layers (two per step on an even periodic chain), then the fields;
+    this reorder leaves the step unitary intact.
+    """
+    words = [tuple(a for a in axes if a != 0) for axes, _ in h.terms]
+    if (1, 1) not in words or any(w not in ((1, 1), (3,)) for w in words):
+        return [term for term, w in zip(h.terms, words) if w]
+    couplings = {
+        tuple(q for q, a in enumerate(term[0]) if a != 0): term
+        for term, w in zip(h.terms, words) if w == (1, 1)
+    }
+    layered = [couplings[pair] for layer in _edge_layers(list(couplings)) for pair in layer]
+    return layered + [term for term, w in zip(h.terms, words) if w == (3,)]
 
 
 def _edge_layers(edges: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
@@ -438,50 +435,17 @@ def _edge_layers(edges: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
 
 
 def trotter_step(h: QubitHamiltonian, dt: float, native: bool = False) -> Circuit:
-    """One first-order product-formula step exp(-i c dt P) per term.
-
-    With ``native=True`` the step is emitted directly on {GPI2, RZ, MS}.
-    Ising-form couplings mutually commute, so the native path schedules
-    them into parallel entangling layers (two per step on an even
-    periodic chain) without changing the step unitary.
-    """
+    """One first-order product-formula step: exp(-i c dt P) per term of
+    ``trotter_term_order``, compiled onto {GPI2, RZ, MS} with
+    ``native=True``."""
     if not math.isfinite(dt):
         raise ValueError("dt must be finite")
     circuit = Circuit(h.num_qubits)
-    ordered = trotter_term_order(h)
-    if is_ising_form(h):
-        # the mutually commuting couplings are scheduled into parallel
-        # entangling layers; this reorder leaves the step unitary intact
-        couplings = [t for t in ordered if sum(1 for a in t[0] if a != 0) == 2]
-        fields = [t for t in ordered if sum(1 for a in t[0] if a != 0) == 1]
-        edges = []
-        coeff_of = {}
-        for axes, coeff in couplings:
-            pair = tuple(q for q, a in enumerate(axes) if a != 0)
-            edges.append(pair)
-            coeff_of[pair] = coeff
-        for layer in _edge_layers(edges):
-            for (i, j) in layer:
-                if native:
-                    circuit.add(ms(i, j, 0.0, 0.0, 2.0 * coeff_of[(i, j)] * dt))
-                else:
-                    circuit.add(pauli_rotation((i, j), (1, 1), 2.0 * coeff_of[(i, j)] * dt))
-        for axes, coeff in fields:
-            q = next(q for q, a in enumerate(axes) if a != 0)
-            if native:
-                circuit.add(rz(q, 2.0 * coeff * dt))
-            else:
-                circuit.add(pauli_rotation((q,), (3,), 2.0 * coeff * dt))
-        return circuit
-    for axes, coeff in ordered:
+    for axes, coeff in trotter_term_order(h):
         qubits = tuple(q for q, a in enumerate(axes) if a != 0)
-        if not qubits:
-            continue  # identity term only shifts the global phase
         sub_axes = tuple(axes[q] for q in qubits)
         circuit.add(pauli_rotation(qubits, sub_axes, 2.0 * coeff * dt))
-    if native:
-        return compile_native(circuit)
-    return circuit
+    return compile_native(circuit) if native else circuit
 
 
 def time_evolution_circuit(

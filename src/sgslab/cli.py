@@ -383,6 +383,8 @@ def _hamiltonian_from_args(args) -> tuple[QubitHamiltonian, list[Path]]:
     if not (args.hamiltonian or args.chain is not None or args.lattice is not None):
         raise ConfigError("provide --hamiltonian, --chain or --lattice")
     paths = [Path(args.hamiltonian).resolve()] if args.hamiltonian else []
+    _number(args.j1, "--j1")
+    _number(args.h3, "--h3")
     try:
         if paths:
             flag = "--hamiltonian"
@@ -440,6 +442,8 @@ def cmd_fit(args) -> int:
         series = TimeSeries.from_csv(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"series {path}: {exc}") from None
+    if args.freq_hint is not None and not 0.0 < args.freq_hint < math.inf:
+        raise ConfigError(f"--freq-hint: expected a finite number > 0, got {args.freq_hint!r}")
     fit = fit_gap(series, freq_hint=args.freq_hint)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -8,6 +8,7 @@ qubit/fermion Hamiltonian file formats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal
@@ -28,7 +29,7 @@ class IsingSpec:
 
     ``geometry`` is "chain" (length ``length``) or "lattice"
     (``rows`` x ``cols``, row-major site order). Couplings must be
-    non-negative.
+    finite and non-negative.
     """
 
     geometry: Literal["chain", "lattice"]
@@ -47,8 +48,10 @@ class IsingSpec:
                 raise ValueError("lattice needs rows*cols >= 2")
         else:
             raise ValueError(f"unknown geometry {self.geometry!r}")
-        if self.j1 < 0 or self.h3 < 0:
-            raise ValueError("couplings j1, h3 must be >= 0")
+        if not (0 <= self.j1 < math.inf and 0 <= self.h3 < math.inf):
+            raise ValueError(
+                f"couplings j1, h3 must be finite and >= 0, got {self.j1!r}, {self.h3!r}"
+            )
 
     @classmethod
     def chain(cls, length: int, j1: float, h3: float) -> "IsingSpec":
@@ -264,6 +267,8 @@ def load_qubit_hamiltonian(path) -> QubitHamiltonian:
             raise HamiltonianFileError(
                 path, lineno, f"non-real coefficient {coeff_text!r}"
             ) from None
+        if not math.isfinite(coeff):
+            raise HamiltonianFileError(path, lineno, f"non-finite coefficient {coeff_text!r}")
         if any(c not in CHAR_TO_AXIS for c in word):
             raise HamiltonianFileError(path, lineno, f"invalid Pauli word {word!r}")
         if width is None:
@@ -311,6 +316,8 @@ def load_fermion_hamiltonian(path) -> FermionHamiltonian:
                 raise HamiltonianFileError(
                     path, lineno, f"expected '1B p q v' or '2B p q r s v', got {line!r}"
                 )
+            if not math.isfinite(value):
+                raise HamiltonianFileError(path, lineno, f"non-finite coefficient {parts[-1]!r}")
         except ValueError as exc:
             if isinstance(exc, HamiltonianFileError):
                 raise

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -250,6 +251,10 @@ class QubitHamiltonian:
                     f"expected {self.num_qubits}"
                 )
             coeff = float(coeff)
+            if not math.isfinite(coeff):
+                raise ValueError(
+                    f"term {axes_to_word(axes)!r} has a non-finite coefficient {coeff!r}"
+                )
             merged[axes] = merged.get(axes, 0.0) + coeff
         canon = tuple(
             (axes, c) for axes, c in sorted(merged.items()) if abs(c) > COEFF_PRUNE_TOL

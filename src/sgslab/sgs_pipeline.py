@@ -42,7 +42,8 @@ from .noise_engine import (
 )
 from .pauli_core import PauliString, QubitHamiltonian, diagonal_energies
 
-DEFAULT_MAX_TOTAL_STEPS = 40
+# The paper's circuit budget: therm_steps + evo_steps, unless overridden.
+MAX_TOTAL_STEPS = 40
 DEFAULT_TARGET_PERIODS = 4.0
 DEFAULT_MAX_STEP_NORM = 4.0
 SIGMA_FLOOR = 1e-4
@@ -87,7 +88,8 @@ class ExperimentConfig:
     budget: "cumulative" reaches the k-th time with k variable-length
     steps (deepest circuit = therm_steps + evo_steps); "per_point" gives
     every time its own circuit of exactly evo_steps equal-length steps,
-    keeping the same per-circuit depth bound.
+    keeping the same per-circuit depth bound. The deepest circuit may hold
+    at most MAX_TOTAL_STEPS steps unless ``override_step_budget`` is set.
     """
 
     tau: float
@@ -96,14 +98,11 @@ class ExperimentConfig:
     shots: int = 8192
     seed: int = 0
     time_window: tuple[float, float] | None = None
-    native_mode: bool = False
     noise: NoiseModel | None = None
     step_allocation: Literal["cumulative", "per_point"] = "cumulative"
-    independent_points: bool = False
     target_periods: float = DEFAULT_TARGET_PERIODS
     max_step_norm: float = DEFAULT_MAX_STEP_NORM
     override_step_budget: bool = False
-    max_total_steps: int = DEFAULT_MAX_TOTAL_STEPS
 
     def __post_init__(self):
         for f in fields(self):
@@ -136,10 +135,10 @@ class ExperimentConfig:
         if self.target_periods <= 0 or self.max_step_norm <= 0:
             raise ValueError("target_periods and max_step_norm must be positive")
         total = self.therm_steps + self.evo_steps
-        if total > self.max_total_steps and not self.override_step_budget:
+        if total > MAX_TOTAL_STEPS and not self.override_step_budget:
             raise StepBudgetError(
                 f"therm_steps + evo_steps = {total} exceeds the "
-                f"{self.max_total_steps}-step budget (set override_step_budget)"
+                f"{MAX_TOTAL_STEPS}-step budget (set override_step_budget)"
             )
 
 
@@ -287,33 +286,30 @@ def _point_seed(seed: int, k: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((int(seed) & 0xFFFFFFFF, k))
 
 
-def _prefix_circuit(
+def _prepare(
     h: QubitHamiltonian,
     h0: QubitHamiltonian,
     cfg: ExperimentConfig,
-    prep: Circuit,
-    native: bool,
-) -> Circuit:
+    prep: Circuit | None,
+    initial_state: StateVector | None,
+) -> StateVector | DensityMatrix:
+    """The state a series starts from: ``initial_state`` as given, or
+    ``prep`` (inferred from H0 when None) followed by the thermalization.
+    A noisy ``cfg`` runs native gates under its noise model and returns a
+    DensityMatrix."""
+    noisy = cfg.noise is not None
+    if initial_state is not None:
+        if initial_state.num_qubits != h.num_qubits:
+            raise ValueError("initial_state qubit-count mismatch")
+        state = initial_state.copy()
+        return DensityMatrix.from_pure(state) if noisy else state
+    prep = prep if prep is not None else default_sgs0_circuit(h0)
     circuit = Circuit(h.num_qubits, list(prep.gates))
-    if native:
+    if noisy:
         circuit = compile_native(circuit)
     if cfg.therm_steps > 0:
-        circuit += adiabatic_circuit(h0, h, cfg.tau, cfg.therm_steps, native=native)
-    return circuit
-
-
-def _evolution_steps(times: np.ndarray, cfg: ExperimentConfig) -> list[list[float]]:
-    """Per-point step durations; len(steps[k]) <= evo_steps always."""
-    if cfg.step_allocation == "cumulative":
-        prev = 0.0
-        out = []
-        acc: list[float] = []
-        for t in times:
-            acc = acc + [t - prev]
-            prev = t
-            out.append(list(acc))
-        return out
-    return [[t / cfg.evo_steps] * cfg.evo_steps for t in times]
+        circuit += adiabatic_circuit(h0, h, cfg.tau, cfg.therm_steps, native=noisy)
+    return run_noisy(circuit, cfg.noise) if noisy else run_circuit(circuit)
 
 
 def _measure_series(
@@ -328,15 +324,15 @@ def _measure_series(
 
     ``prefix`` is the prepared state, a DensityMatrix for a noisy series.
     ``shots=None`` records exact expectation values with zero sigma (used
-    by the window pilot). The precompiled step (native for native or noisy
-    series, with each native gate's depolarizing channels when noisy)
-    advances statevector (2^n, T) or density (2^n, 2^n, T) columns:
-    ``per_point`` evolves all times at once, density times in blocks of
-    at most ``DENSITY_BATCH_BYTES``; ``cumulative`` applies one step at a
-    time to one column.
+    by the window pilot). The precompiled step (native for a noisy series,
+    with each native gate's depolarizing channels) advances statevector
+    (2^n, T) or density (2^n, 2^n, T) columns: ``per_point`` evolves all
+    times at once, density times in blocks of at most
+    ``DENSITY_BATCH_BYTES``; ``cumulative`` advances one column from each
+    time to the next.
     """
     noisy = isinstance(prefix, DensityMatrix)
-    plan = compile_step(h, native=cfg.native_mode or noisy, noise=cfg.noise)
+    plan = compile_step(h, native=noisy, noise=cfg.noise)
     if noisy:
         start, evolve, wrap = prefix.matrix, evolve_density, DensityMatrix
         block = max(1, DENSITY_BATCH_BYTES // start.nbytes)
@@ -358,13 +354,9 @@ def _measure_series(
             for k in range(len(chunk)):
                 measure(lo + k, batch[..., k])
         return values, sigmas
-    for k, steps in enumerate(_evolution_steps(times, cfg)):
-        if k == 0 or cfg.independent_points:
-            column = start[..., None].copy()
-        else:
-            steps = steps[-1:]
-        for dt in steps:
-            evolve(plan, column, [dt])
+    column = start[..., None].copy()
+    for k, dt in enumerate(np.diff(times, prepend=0.0)):
+        evolve(plan, column, [dt])
         measure(k, column[..., 0])
     return values, sigmas
 
@@ -423,12 +415,8 @@ def auto_time_window(
         probe = chebyshev_times(cfg.evo_steps, 0.0, 1.0)
         t_pilot = dt_max / _max_step_of_window(probe, cfg)
 
-    pilot_cfg = replace(cfg, noise=None, native_mode=False)
-    if initial_state is not None:
-        prefix = initial_state.copy()
-    else:
-        prep = prep if prep is not None else default_sgs0_circuit(h0)
-        prefix = run_circuit(_prefix_circuit(h, h0, pilot_cfg, prep, native=False))
+    pilot_cfg = replace(cfg, noise=None)
+    prefix = _prepare(h, h0, pilot_cfg, prep, initial_state)
     pilot_times = chebyshev_times(cfg.evo_steps, 0.0, t_pilot)
     values, _ = _measure_series(h, o, prefix, pilot_times, pilot_cfg, shots=None)
     pilot = TimeSeries(pilot_times, values, np.zeros_like(values))
@@ -462,18 +450,7 @@ def run_experiment(
     else:
         t_min, t_max = auto_time_window(h, h0, o, cfg, prep, initial_state)
     times = chebyshev_times(cfg.evo_steps, t_min, t_max)
-
-    noisy = cfg.noise is not None
-    if initial_state is not None:
-        if initial_state.num_qubits != h.num_qubits:
-            raise ValueError("initial_state qubit-count mismatch")
-        prefix = initial_state.copy()
-        if noisy:
-            prefix = DensityMatrix.from_pure(prefix)
-    else:
-        prep = prep if prep is not None else default_sgs0_circuit(h0)
-        prefix_circuit = _prefix_circuit(h, h0, cfg, prep, cfg.native_mode or noisy)
-        prefix = run_noisy(prefix_circuit, cfg.noise) if noisy else run_circuit(prefix_circuit)
+    prefix = _prepare(h, h0, cfg, prep, initial_state)
     values, sigmas = _measure_series(h, o, prefix, times, cfg, cfg.shots)
     return TimeSeries(times, values, sigmas)
 
@@ -617,11 +594,14 @@ def fit_gap(
 
     Starts from the grid-search minima (or the caller's hint), keeps the
     lowest-chi-square converged fit, and canonicalizes to rho >= 0,
-    theta in [0, 2pi), gap > 0. Raises FitError when nothing converges or
-    the best fit's covariance is not finite.
+    theta in [0, 2pi), gap > 0. Raises ValueError for a hint that is not
+    finite and positive, FitError when nothing converges or the best
+    fit's covariance is not finite.
     """
     if len(series) < 5:
         raise ValueError("need at least 5 points to fit 4 parameters")
+    if freq_hint is not None and not 0.0 < freq_hint < math.inf:
+        raise ValueError(f"freq_hint must be a finite number > 0, got {freq_hint!r}")
     times, values = series.times, series.values
     sigmas = np.maximum(series.sigmas, sigma_floor)
     if freq_hint is not None:

@@ -57,10 +57,6 @@ class SpectrumResult:
     def state(self, level: int) -> np.ndarray:
         return self.eigenvectors[:, level]
 
-    @property
-    def num_levels(self) -> int:
-        return self.eigenvalues.shape[0]
-
     def is_degenerate_pair(self, i: int, j: int) -> bool:
         return abs(self.eigenvalues[j] - self.eigenvalues[i]) < (
             DEGENERACY_REL_TOL * self.scale

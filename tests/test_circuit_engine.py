@@ -37,6 +37,7 @@ from sgslab.circuit_engine import (
     sample_expectation,
     time_evolution_circuit,
     trotter_step,
+    trotter_term_order,
 )
 from sgslab.hamiltonians import IsingSpec, build_ising, ising_auxiliary
 from sgslab.pauli_core import PauliString, QubitHamiltonian
@@ -177,13 +178,23 @@ class TestTrotterStep:
         h = random_hamiltonian(rng, 3, num_terms=5)
         dt = 0.21
         step = trotter_step(h, dt)
-        from sgslab.circuit_engine import trotter_term_order
-
         want = np.eye(8, dtype=complex)
         for axes, coeff in trotter_term_order(h):
             word = "".join("IXYZ"[a] for a in axes)
             want = expm(-1j * coeff * dt * dense_word(word)) @ want
         np.testing.assert_allclose(circuit_unitary(step), want, atol=1e-12)
+
+    def test_emits_terms_in_trotter_term_order(self):
+        # the couplings of the 4-site chain come in two parallel layers,
+        # (2,3),(0,1) then (1,2),(0,3), ahead of the fields
+        h = build_ising(IsingSpec.chain(4, 1.0, 2.3))
+        dt = 0.17
+        want = [(tuple(q for q, a in enumerate(axes) if a != 0), 2.0 * coeff * dt)
+                for axes, coeff in trotter_term_order(h)]
+        assert [(g.qubits, g.angles[0]) for g in trotter_step(h, dt).gates] == want
+        assert [pair for pair, _ in want[:4]] == [(2, 3), (0, 1), (1, 2), (0, 3)]
+        native = trotter_step(h, dt, native=True).gates
+        assert [(g.qubits, g.angles[-1]) for g in native] == want
 
     def test_native_ising_step_matches_ideal_exactly(self):
         h = build_ising(IsingSpec.chain(4, 1.0, 2.3))

@@ -378,6 +378,12 @@ class TestInputErrors:
         ("ising", {"experiment": {"shots": 64.7}}, "shots"),
         ("ising", {"experiment": {"seed": 1.5}}, "seed"),
         ("ising", {"experiment": {"tau": "abc"}}, "tau"),
+        ("ising", {"experiment": {"native_mode": True}},
+         "config.experiment.native_mode: unknown field"),
+        ("ising", {"experiment": {"independent_points": True}},
+         "config.experiment.independent_points: unknown field"),
+        ("ising", {"experiment": {"max_total_steps": 50}},
+         "config.experiment.max_total_steps: unknown field"),
         ("molecule", {"inputs": ["h2.txt"]}, "config.inputs[0]"),
         ("molecule", {"inputs": [{"label": "x", "path": "."}]}, "config.inputs[0].path"),
         ("molecule", {"inputs": [{"label": "x", "path": "config.yaml"}]},
@@ -386,7 +392,9 @@ class TestInputErrors:
             "experiment-empty-list", "experiment-zero", "experiment-empty-string",
             "experiment-false",
             "time-window-item", "evo-steps-float", "shots-float", "seed-float",
-            "tau-text", "input-item", "input-directory", "input-not-hamiltonian"])
+            "tau-text", "native-mode-removed", "independent-points-removed",
+            "max-total-steps-removed", "input-item", "input-directory",
+            "input-not-hamiltonian"])
     def test_bad_config_value(self, tmp_path, capsys, study, changes, field):
         path = small_ising_config(tmp_path)
         raw = yaml.safe_load(path.read_text())
@@ -414,13 +422,47 @@ class TestInputErrors:
         (["benchmark", "--chain", "0"], "--chain: chain length"),
         (["benchmark", "--lattice", "0", "3"], "--lattice"),
         (["benchmark", "--hamiltonian", "absent.txt"], "--hamiltonian"),
+        (["benchmark", "--chain", "4", "--h3", "nan"], "--h3: expected a finite number"),
+        (["benchmark", "--chain", "4", "--j1", "inf"], "--j1: expected a finite number"),
+        (["search", "--lattice", "2", "2", "--h3", "inf"], "--h3: expected a finite number"),
     ], ids=["levels-reversed", "levels-out-of-range", "search-over-ceiling",
             "degenerate-levels", "chain-over-oracle-limit", "chain-zero",
-            "lattice-zero", "missing-hamiltonian"])
+            "lattice-zero", "missing-hamiltonian", "h3-nan", "j1-inf", "lattice-h3-inf"])
     def test_bad_oracle_flag(self, tmp_path, capsys, argv, flag):
         status, err = self.run(argv + ["--out", str(tmp_path / "o")], capsys)
         assert status == 2
         assert flag in err
+
+    def test_non_finite_coefficient_in_hamiltonian_file(self, tmp_path, capsys):
+        path = tmp_path / "h.txt"
+        path.write_text("-0.5 XX\nnan ZI\n")
+        status, err = self.run(
+            ["benchmark", "--hamiltonian", str(path), "--out", str(tmp_path / "o")], capsys
+        )
+        assert status == 2
+        assert "--hamiltonian" in err and "h.txt:2: non-finite coefficient" in err
+        write_yaml(tmp_path / "config.yaml",
+                   {"study": "molecule", "inputs": [{"label": "x", "path": "h.txt"}]})
+        status, err = self.run(
+            ["molecule", "--config", str(tmp_path / "config.yaml"), "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert status == 2
+        assert "config.inputs[0].path" in err and "h.txt:2" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("hint", ["nan", "inf", "0", "-1.7"])
+    def test_bad_freq_hint(self, tmp_path, capsys, hint):
+        times = chebyshev_times(25, 0.0, 9.0)
+        values = 0.1 + 0.45 * np.cos(1.7 * times + 0.3)
+        csv_path = tmp_path / "series.csv"
+        TimeSeries(times, values, np.full_like(times, 0.01)).to_csv(csv_path)
+        status, err = self.run(
+            ["fit", str(csv_path), "--freq-hint", hint, "--out", str(tmp_path / "o")], capsys
+        )
+        assert status == 2
+        assert "--freq-hint: expected a finite number > 0" in err
+        assert not (tmp_path / "o").exists()
 
     def test_search_solver_error_is_not_a_flag_error(self, tmp_path, monkeypatch):
         # only the exhaustive ceiling is a --family error; anything else the

@@ -41,6 +41,11 @@ class TestIsingSpec:
             IsingSpec.lattice(1, 1, 1.0, 1.0)
         with pytest.raises(ValueError):
             IsingSpec.chain(4, -1.0, 1.0)
+        for j1, h3 in ((float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                IsingSpec.chain(4, j1, h3)
+            with pytest.raises(ValueError, match="finite"):
+                IsingSpec.lattice(2, 2, j1, h3)
 
 
 class TestBuildIsing:
@@ -211,6 +216,13 @@ class TestQubitFiles:
         with pytest.raises(HamiltonianFileError, match=":2"):
             load_qubit_hamiltonian(path)
 
+    @pytest.mark.parametrize("coeff", ["nan", "inf", "-inf"])
+    def test_non_finite_coefficient_reports_line(self, tmp_path, coeff):
+        path = tmp_path / "h.txt"
+        path.write_text(f"0.5 XX\n{coeff} ZZ\n")
+        with pytest.raises(HamiltonianFileError, match=f":2: non-finite coefficient '{coeff}'"):
+            load_qubit_hamiltonian(path)
+
     def test_inconsistent_length_rejected(self, tmp_path):
         path = tmp_path / "h.txt"
         path.write_text("0.5 XX\n0.5 XXX\n")
@@ -251,6 +263,13 @@ class TestFermionFiles:
         path = tmp_path / "f.txt"
         path.write_text("2B 0 1 0.5\n")
         with pytest.raises(HamiltonianFileError, match=":1"):
+            load_fermion_hamiltonian(path)
+
+    @pytest.mark.parametrize("line", ["1B 0 1 nan", "2B 0 1 1 0 inf"])
+    def test_non_finite_coefficient_reports_line(self, tmp_path, line):
+        path = tmp_path / "f.txt"
+        path.write_text(f"1B 0 0 -1.0\n{line}\n")
+        with pytest.raises(HamiltonianFileError, match=":2: non-finite coefficient"):
             load_fermion_hamiltonian(path)
 
     def test_roundtrip(self, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -259,6 +260,10 @@ def test_invalid_construction():
         PauliString(1, (5,))
     with pytest.raises(ValueError):
         QubitHamiltonian.from_terms(2, [("XXX", 1.0)])
+    # a NaN fails the pruning comparison, so it must not reach the sum
+    for coeff in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="'ZI' has a non-finite coefficient"):
+            QubitHamiltonian.from_terms(2, [("XX", 0.5), ("ZI", coeff)])
 
 
 class TestTextForm:

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from conftest import dense_hamiltonian
 
 from sgslab import sgs_pipeline
-from sgslab.circuit_engine import StateVector, run_circuit, trotter_step
+from sgslab.circuit_engine import (
+    StateVector,
+    compile_step,
+    evolve_columns,
+    run_circuit,
+    trotter_step,
+)
 from sgslab.hamiltonians import IsingSpec, build_ising, ising_auxiliary
 from sgslab.noise_engine import DensityMatrix, NoiseModel, aria_noise_model, run_noisy
 from sgslab.pauli_core import PauliString, QubitHamiltonian, diagonal_part
@@ -17,7 +23,6 @@ from sgslab.sgs_pipeline import (
     FitError,
     StepBudgetError,
     TimeSeries,
-    _evolution_steps,
     _linear_tone_fit,
     _measure_series,
     chebyshev_times,
@@ -198,7 +203,7 @@ class TestExperimentConfig:
             ExperimentConfig(tau=1.0, time_window=(2.0, 1.0))
         for field, value in (
             ("evo_steps", 10.5), ("shots", 64.7), ("seed", 1.5), ("therm_steps", "5"),
-            ("max_total_steps", 40.0), ("shots", True), ("tau", "abc"),
+            ("shots", True), ("tau", "abc"),
             ("tau", float("nan")), ("time_window", ("a", 1.0)), ("time_window", (1.0,)),
         ):
             with pytest.raises(ValueError, match=field):
@@ -211,24 +216,42 @@ class TestExperimentConfig:
 
 
 class TestEvolutionSteps:
-    def test_cumulative_allocation(self):
+    """How _measure_series spends the evolution budget, seen through the
+    step lengths it hands the kernel."""
+
+    @staticmethod
+    def kernel_calls(monkeypatch, cfg, times):
+        calls = []
+
+        def record(plan, columns, dts, n_steps=1):
+            calls.append((np.asarray(dts, dtype=float).copy(), n_steps, columns.shape[-1]))
+            return evolve_columns(plan, columns, dts, n_steps)
+
+        monkeypatch.setattr(sgs_pipeline, "evolve_columns", record)
+        h = QubitHamiltonian.from_terms(2, [("XX", 0.6), ("ZI", -0.3)])
+        prefix = StateVector(2, np.full(4, 0.5, dtype=complex))
+        _measure_series(h, PauliString.from_word("XI"), prefix, times, cfg, shots=None)
+        return calls
+
+    def test_cumulative_allocation(self, monkeypatch):
         cfg = ExperimentConfig(tau=1.0, therm_steps=0, evo_steps=5)
         times = np.array([0.1, 0.4, 0.9, 1.4, 2.0])
-        steps = _evolution_steps(times, cfg)
-        for k, chunk in enumerate(steps):
-            assert len(chunk) == k + 1
-            assert len(chunk) <= cfg.evo_steps
-            assert sum(chunk) == pytest.approx(times[k])
+        calls = self.kernel_calls(monkeypatch, cfg, times)
+        # one column, one step per time: the k-th time is reached after k + 1
+        # steps, never more than evo_steps
+        assert [(len(dts), n_steps, width) for dts, n_steps, width in calls] == [(1, 1, 1)] * 5
+        reached = np.cumsum([dts[0] for dts, _, _ in calls])
+        np.testing.assert_allclose(reached, times, rtol=1e-15)
 
-    def test_per_point_allocation(self):
+    def test_per_point_allocation(self, monkeypatch):
         cfg = ExperimentConfig(
             tau=1.0, therm_steps=0, evo_steps=5, step_allocation="per_point"
         )
         times = np.array([0.1, 0.4, 0.9, 1.4, 2.0])
-        steps = _evolution_steps(times, cfg)
-        for k, chunk in enumerate(steps):
-            assert len(chunk) == cfg.evo_steps
-            assert sum(chunk) == pytest.approx(times[k])
+        ((dts, n_steps, width),) = self.kernel_calls(monkeypatch, cfg, times)
+        # every time its own column of exactly evo_steps equal steps
+        assert (n_steps, width) == (cfg.evo_steps, len(times))
+        np.testing.assert_allclose(dts * n_steps, times, rtol=1e-15)
 
 
 class TestTimeSeries:
@@ -344,6 +367,12 @@ class TestGridSearch:
 
 
 class TestFitGap:
+    @pytest.mark.parametrize("hint", [math.nan, math.inf, 0.0, -1.3])
+    def test_bad_freq_hint_rejected(self, hint):
+        series = synthetic_series(0.2, 0.5, 1.3, 0.7, chebyshev_times(25, 0.0, 9.0))
+        with pytest.raises(ValueError, match="freq_hint must be a finite number > 0"):
+            fit_gap(series, freq_hint=hint)
+
     def test_exact_recovery(self):
         times = chebyshev_times(25, 0.0, 9.0)
         series = synthetic_series(0.2, 0.5, 1.3, 0.7, times)
@@ -446,17 +475,6 @@ class TestRunExperiment:
         sigma_floor = np.maximum(series.sigmas, 1e-3)
         assert np.all(np.abs(series.values - closed) <= 4.0 * sigma_floor)
 
-    def test_sequential_and_independent_points_agree(self):
-        spec = IsingSpec.chain(3, 1.0, 2.5)
-        h, h0 = build_ising(spec), ising_auxiliary(spec)
-        o = PauliString.from_word("XII")
-        base = dict(tau=3.0, therm_steps=5, evo_steps=8, shots=256, seed=11,
-                    time_window=(0.0, 2.0))
-        a = run_experiment(h, h0, o, ExperimentConfig(**base))
-        b = run_experiment(h, h0, o, ExperimentConfig(**base, independent_points=True))
-        np.testing.assert_array_equal(a.values, b.values)
-        np.testing.assert_array_equal(a.sigmas, b.sigmas)
-
     def test_deterministic_under_seed(self):
         spec = IsingSpec.chain(3, 1.0, 2.5)
         h, h0 = build_ising(spec), ising_auxiliary(spec)
@@ -465,18 +483,6 @@ class TestRunExperiment:
         a = run_experiment(h, h0, o, cfg)
         b = run_experiment(h, h0, o, cfg)
         np.testing.assert_array_equal(a.values, b.values)
-
-    def test_native_mode_statistically_equivalent(self):
-        # native compilation changes gates, not the unitary; identical
-        # sampling probabilities give identical draws under equal seeds
-        spec = IsingSpec.chain(3, 1.0, 2.5)
-        h, h0 = build_ising(spec), ising_auxiliary(spec)
-        o = PauliString.from_word("XII")
-        base = dict(tau=3.0, therm_steps=5, evo_steps=8, shots=100000, seed=11,
-                    time_window=(0.0, 2.0))
-        a = run_experiment(h, h0, o, ExperimentConfig(**base))
-        b = run_experiment(h, h0, o, ExperimentConfig(**base, native_mode=True))
-        np.testing.assert_allclose(a.values, b.values, atol=0.02)
 
     def test_noisy_path_deterministic_and_damped(self):
         spec = IsingSpec.chain(3, 1.0, 2.5)
@@ -513,14 +519,23 @@ class TestRunExperiment:
         assert abs(fit.gap - gap) / gap < 0.05
 
 
+def reference_steps(times, cfg):
+    """Step lengths that reach each time from the prepared state: evo_steps
+    equal steps per point, or every gap between the times so far when
+    cumulative."""
+    if cfg.step_allocation == "per_point":
+        return [[t / cfg.evo_steps] * cfg.evo_steps for t in times]
+    return [[times[0]] + [times[i] - times[i - 1] for i in range(1, k + 1)]
+            for k in range(len(times))]
+
+
 class TestSeriesKernel:
     """Batched series against a gate-by-gate run of every trotter_step."""
 
     @pytest.mark.parametrize(
-        "allocation,independent",
-        [("per_point", False), ("cumulative", False), ("cumulative", True)],
+        "allocation", ["per_point", "cumulative"], ids=["per_point-False", "cumulative-False"]
     )
-    def test_matches_gate_loop(self, rng, allocation, independent):
+    def test_matches_gate_loop(self, rng, allocation):
         from conftest import random_state
 
         h = QubitHamiltonian.from_terms(
@@ -528,11 +543,10 @@ class TestSeriesKernel:
         )
         o = PauliString.from_word("XIIY")
         prefix = StateVector(4, random_state(rng, 4))
-        cfg = ExperimentConfig(tau=1.0, therm_steps=0, evo_steps=9,
-                               step_allocation=allocation, independent_points=independent)
+        cfg = ExperimentConfig(tau=1.0, therm_steps=0, evo_steps=9, step_allocation=allocation)
         times = chebyshev_times(cfg.evo_steps, 0.0, 2.5)
         values, sigmas = _measure_series(h, o, prefix, times, cfg, shots=None)
-        for k, steps in enumerate(_evolution_steps(times, cfg)):
+        for k, steps in enumerate(reference_steps(times, cfg)):
             state = prefix.copy()
             for dt in steps:
                 run_circuit(trotter_step(h, dt), state)
@@ -541,13 +555,11 @@ class TestSeriesKernel:
 
 
     @pytest.mark.parametrize(
-        "allocation,independent,batch_bytes",
-        [("per_point", False, None), ("per_point", False, 3 * 64 * 16),
-         ("cumulative", False, None), ("cumulative", True, None)],
-        ids=["per_point", "per_point-blocks-of-3", "cumulative", "independent_points"],
+        "allocation,batch_bytes",
+        [("per_point", None), ("per_point", 3 * 64 * 16), ("cumulative", None)],
+        ids=["per_point", "per_point-blocks-of-3", "cumulative"],
     )
-    def test_noisy_matches_run_noisy_loop(self, rng, monkeypatch, allocation,
-                                          independent, batch_bytes):
+    def test_noisy_matches_run_noisy_loop(self, rng, monkeypatch, allocation, batch_bytes):
         from conftest import random_state
 
         if batch_bytes is not None:
@@ -557,46 +569,36 @@ class TestSeriesKernel:
         noise = aria_noise_model()
         prefix = DensityMatrix.from_pure(StateVector(3, random_state(rng, 3)))
         cfg = ExperimentConfig(tau=1.0, therm_steps=0, evo_steps=8, noise=noise,
-                               step_allocation=allocation, independent_points=independent)
+                               step_allocation=allocation)
         times = chebyshev_times(cfg.evo_steps, 0.0, 2.5)
         values, _ = _measure_series(h, o, prefix, times, cfg, shots=None)
-        for k, steps in enumerate(_evolution_steps(times, cfg)):
+        for k, steps in enumerate(reference_steps(times, cfg)):
             rho = prefix.copy()
             for dt in steps:
                 run_noisy(trotter_step(h, dt, native=True), noise, initial=rho)
             assert values[k] == rho.expectation(o)
 
     def test_native_matches_gate_loop(self, rng):
+        # GPI2- and CNOT-rich native steps on statevector columns
         from conftest import random_state
 
         h = QubitHamiltonian.from_terms(
             4, [("XYIZ", 0.7), ("IYYI", -0.4), ("ZIIZ", 0.9), ("IIXI", 0.3), ("YZXX", 0.2)]
         )
-        o = PauliString.from_word("XIIY")
-        prefix = StateVector(4, random_state(rng, 4))
-        cfg = ExperimentConfig(tau=1.0, therm_steps=0, evo_steps=9, native_mode=True,
-                               step_allocation="per_point")
-        times = chebyshev_times(cfg.evo_steps, 0.0, 2.5)
-        values, _ = _measure_series(h, o, prefix, times, cfg, shots=None)
-        for k, steps in enumerate(_evolution_steps(times, cfg)):
-            state = prefix.copy()
-            for dt in steps:
-                run_circuit(trotter_step(h, dt, native=True), state)
-            assert values[k] == pytest.approx(state.expectation(o), abs=1e-12)
+        evo_steps = 9
+        dts = chebyshev_times(evo_steps, 0.0, 2.5) / evo_steps
+        start = np.column_stack([random_state(rng, 4) for _ in dts])
+        columns = evolve_columns(compile_step(h, native=True), start.copy(), dts, evo_steps)
+        for k, dt in enumerate(dts):
+            step = trotter_step(h, dt, native=True)
+            assert step.is_native()
+            state = StateVector(4, start[:, k].copy())
+            for _ in range(evo_steps):
+                run_circuit(step, state)
+            np.testing.assert_allclose(columns[:, k], state.amplitudes, atol=1e-12)
 
 
 class TestMoreProperties:
-    def test_noisy_sequential_and_independent_agree(self):
-        spec = IsingSpec.chain(2, 1.0, 2.0)
-        h, h0 = build_ising(spec), ising_auxiliary(spec)
-        o = PauliString.from_word("XI")
-        noise = NoiseModel(fidelity_1q=0.999, fidelity_2q=0.985)
-        base = dict(tau=3.0, therm_steps=4, evo_steps=6, shots=128, seed=9,
-                    time_window=(0.0, 1.5), noise=noise)
-        a = run_experiment(h, h0, o, ExperimentConfig(**base))
-        b = run_experiment(h, h0, o, ExperimentConfig(**base, independent_points=True))
-        np.testing.assert_array_equal(a.values, b.values)
-
     @given(
         st.integers(3, 40),
         st.floats(0.0, 5.0),
