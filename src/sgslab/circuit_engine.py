@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.random import default_rng
 
 from .pauli_core import (
     PauliString,
@@ -692,6 +693,6 @@ def sample_expectation(
         raise ValueError("shots must be >= 1")
     value = expectation(o, state.amplitudes)
     p_plus = min(max((1.0 + value) / 2.0, 0.0), 1.0)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     n_plus = int(rng.binomial(shots, p_plus))
     return ExpectationSample.from_plus_count(n_plus, shots)

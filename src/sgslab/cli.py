@@ -42,6 +42,7 @@ from .pauli_core import (
     oracle_limit,
 )
 from .sgs_pipeline import (
+    MIN_FIT_POINTS,
     STUDY_PRESETS,
     ExperimentConfig,
     FitError,
@@ -442,6 +443,11 @@ def cmd_fit(args) -> int:
         series = TimeSeries.from_csv(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"series {path}: {exc}") from None
+    if len(series) < MIN_FIT_POINTS:
+        raise ConfigError(
+            f"series {path}: {len(series)} rows, the 4-parameter fit needs at least "
+            f"{MIN_FIT_POINTS}"
+        )
     if args.freq_hint is not None and not 0.0 < args.freq_hint < math.inf:
         raise ConfigError(f"--freq-hint: expected a finite number > 0, got {args.freq_hint!r}")
     fit = fit_gap(series, freq_hint=args.freq_hint)

@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .circuit_engine import (
     Circuit,
@@ -266,7 +267,7 @@ def sample_expectation_noisy(
     for q in measured:
         zmask |= 1 << (n - 1 - q)
 
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     samples = rng.choice(probs.shape[0], size=shots, p=probs).astype(np.uint64)
     parity = (np.bitwise_count(samples & np.uint64(zmask)) & 1).astype(np.int64)
     if measured and readout_flip > 0.0:

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
+from numpy.random import SeedSequence
 
 from .circuit_engine import (
     Circuit,
@@ -47,9 +46,21 @@ MAX_TOTAL_STEPS = 40
 DEFAULT_TARGET_PERIODS = 4.0
 DEFAULT_MAX_STEP_NORM = 4.0
 SIGMA_FLOOR = 1e-4
+# The fewest points the frequency search and the 4-parameter fit accept.
+MIN_FIT_POINTS = 5
 # Omegas per stacked solve in frequency_grid_search; keeps its temporaries
 # at a few hundred kB.
 GRID_BLOCK = 256
+# Grid points per pi/T_window in frequency_grid_search; the same spacing is
+# the first bracket of a fit started from a caller's frequency hint.
+OVERSAMPLE = 16
+# The fit's profile minimization stops once a Newton step would lower the
+# chi-square by at most FIT_CHI2_TOL, i.e. move omega by at most
+# sqrt(FIT_CHI2_TOL) of its standard error (that last step is then taken
+# without another evaluation), and fails after FIT_MAX_STEPS residual
+# evaluations.
+FIT_CHI2_TOL = 1e-8
+FIT_MAX_STEPS = 100
 # Minimum chi-square improvement of the oscillation fit over the weighted
 # constant-only fit for the amplitude to count as detected (a roughly
 # 5-sigma single-tone threshold, guarding against pure-noise tones that a
@@ -118,8 +129,11 @@ class ExperimentConfig:
             raise ValueError("therm_steps must be >= 0")
         if self.therm_steps > 0 and self.tau <= 0:
             raise ValueError("tau must be positive when thermalizing")
-        if self.evo_steps < 3:
-            raise ValueError("evo_steps must be >= 3 (one Chebyshev node per step)")
+        if self.evo_steps < MIN_FIT_POINTS:
+            raise ValueError(
+                f"evo_steps must be >= {MIN_FIT_POINTS} (one series point per step, "
+                "fitted with 4 parameters)"
+            )
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
         if self.step_allocation not in ("cumulative", "per_point"):
@@ -282,8 +296,8 @@ def default_sgs0_circuit(h0: QubitHamiltonian) -> Circuit:
 # --- series measurement ----------------------------------------------------
 
 
-def _point_seed(seed: int, k: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence((int(seed) & 0xFFFFFFFF, k))
+def _point_seed(seed: int, k: int) -> SeedSequence:
+    return SeedSequence((int(seed) & 0xFFFFFFFF, k))
 
 
 def _prepare(
@@ -467,41 +481,66 @@ class GridSearchResult:
     significant: bool
 
 
-def _linear_tone_fit(
-    times: np.ndarray, values: np.ndarray, weights: np.ndarray, omega: float
-) -> tuple[np.ndarray, float]:
-    """Weighted LSQ of c + a cos(wt) + b sin(wt) at fixed w."""
-    design = np.column_stack(
-        [np.ones_like(times), np.cos(omega * times), np.sin(omega * times)]
-    )
-    dw = design * weights[:, None]
-    yw = values * weights
-    sol, *_ = np.linalg.lstsq(dw, yw, rcond=None)
-    resid = dw @ sol - yw
-    return sol, float(resid @ resid)
+def _tone_fits(
+    omegas: np.ndarray, times: np.ndarray, ones: np.ndarray, yw: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted LSQ of c + a cos(wt) + b sin(wt) at every omega at once.
+
+    ``ones`` holds the weights and ``yw`` the weighted values. One stacked
+    3x3 normal-equation solve; returns the weighted design (B, n, 3), its
+    Gram matrices, the coefficients (c, a, b) as (B, 3) and the residual
+    design @ sol - yw (B, n), formed explicitly (y'y - b'x cancels on good
+    fits).
+    """
+    phase = np.multiply.outer(omegas, times)
+    design = np.empty(phase.shape + (3,))
+    design[..., 0] = ones
+    np.multiply(np.cos(phase), ones, out=design[..., 1])
+    np.multiply(np.sin(phase), ones, out=design[..., 2])
+    gram = np.matmul(design.transpose(0, 2, 1), design)
+    sol = np.linalg.solve(gram, np.matmul(yw, design)[..., None])
+    resid = np.matmul(design, sol)[..., 0] - yw
+    return design, gram, sol[..., 0], resid
 
 
 def _tone_residuals(
     omegas: np.ndarray, times: np.ndarray, ones: np.ndarray, yw: np.ndarray
 ) -> np.ndarray:
-    """Weighted residual of the ``_linear_tone_fit`` of every omega at once:
-    one stacked 3x3 normal-equation solve, then the residual formed
-    explicitly as design @ sol - yw (y'y - b'x cancels on good fits)."""
-    phase = np.multiply.outer(omegas, times)
-    design = np.stack(
-        [np.broadcast_to(ones, phase.shape), np.cos(phase) * ones, np.sin(phase) * ones],
-        axis=-1,
-    )
-    gram = np.matmul(design.transpose(0, 2, 1), design)
-    sol = np.linalg.solve(gram, np.matmul(yw, design)[..., None])
-    resid = np.matmul(design, sol)[..., 0] - yw
-    return np.einsum("bn,bn->b", resid, resid)
+    """The weighted residual |resid|^2 of every omega's ``_tone_fits``."""
+    *_, resid = _tone_fits(omegas, times, ones, yw)
+    return np.vecdot(resid, resid)
+
+
+def _profile(
+    omegas: np.ndarray, times: np.ndarray, ones: np.ndarray, yw: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The profile residual r(w) of ``_tone_residuals``, its first and
+    second derivatives in w, the coefficients and their derivative in w,
+    at every omega.
+
+    Variable projection (Golub and Pereyra 1973): the linear coefficients
+    are re-solved at every w, so r depends on w alone. With m1 and m2 the
+    first and second w-derivatives of design @ sol at fixed sol, and
+    u = design' m1 + (d design/dw)' resid, d sol/dw = -gram^-1 u,
+    r' = 2 m1.resid and r'' = 2 (|m1|^2 + m2.resid - u' gram^-1 u).
+    """
+    design, gram, sol, resid = _tone_fits(omegas, times, ones, yw)
+    tcos, tsin = (times * design[..., k] for k in (1, 2))
+    a, b = sol[:, 1:2], sol[:, 2:3]
+    m1 = b * tcos - a * tsin
+    m2 = -times * (a * tcos + b * tsin)
+    u = np.matmul(m1[:, None, :], design)[:, 0]
+    u[:, 1] -= np.vecdot(tsin, resid)
+    u[:, 2] += np.vecdot(tcos, resid)
+    dsol = -np.linalg.solve(gram, u[..., None])[..., 0]
+    curvature = 2.0 * (np.vecdot(m1, m1) + np.vecdot(m2, resid) + np.vecdot(u, dsol))
+    return np.vecdot(resid, resid), 2.0 * np.vecdot(m1, resid), curvature, sol, dsol
 
 
 def frequency_grid_search(
     series: TimeSeries,
     n_candidates: int = 3,
-    oversample: int = 16,
+    oversample: int = OVERSAMPLE,
     sigma_floor: float = SIGMA_FLOOR,
 ) -> GridSearchResult:
     """Scan the admissible frequency band for least-squares minima.
@@ -512,8 +551,8 @@ def frequency_grid_search(
     as fit starting points; a series whose best tone does not beat the
     constant-only fit is flagged as not significant.
     """
-    if len(series) < 5:
-        raise ValueError("need at least 5 points")
+    if len(series) < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} points")
     times, values = series.times, series.values
     weights = 1.0 / np.maximum(series.sigmas, sigma_floor)
     window = float(times[-1] - times[0])
@@ -585,21 +624,119 @@ def _oscillation(t, c, rho, omega, theta):
     return c + rho * np.cos(omega * t + theta)
 
 
+def _tone_params(omega: float, sol: np.ndarray) -> np.ndarray:
+    """(c, rho, omega, theta) of c + a cos(wt) + b sin(wt), rho >= 0 and
+    theta in [0, 2pi)."""
+    c, a, b = (float(x) for x in sol)
+    theta = math.atan2(-b, a) % (2.0 * math.pi)  # a tiny negative angle rounds to 2pi
+    return np.array([c, math.hypot(a, b), omega, theta if theta < 2.0 * math.pi else 0.0])
+
+
+def _covariance(times: np.ndarray, weights: np.ndarray, popt: np.ndarray) -> np.ndarray:
+    """(J'WJ)^-1 of the weighted Jacobian of all four parameters, through
+    its SVD; infinite when a singular value is at or below
+    scipy.optimize.curve_fit's cutoff, eps * max(J.shape) * the largest."""
+    _, rho, omega, theta = popt
+    phase = omega * times + theta
+    sin = np.sin(phase)
+    jac = weights[:, None] * np.column_stack(
+        [np.ones_like(times), np.cos(phase), -rho * times * sin, -rho * sin]
+    )
+    _, sv, vt = np.linalg.svd(jac, full_matrices=False)
+    if sv[-1] <= np.finfo(float).eps * max(jac.shape) * sv[0]:
+        return np.full((4, 4), np.inf)
+    return (vt.T / sv**2) @ vt
+
+
+class _ProfilePoint(NamedTuple):
+    """``_profile`` at one omega."""
+
+    omega: float
+    r: float
+    grad: float
+    curv: float
+    sol: np.ndarray
+    dsol: np.ndarray
+
+
+def curve_fit(
+    times: np.ndarray, values: np.ndarray, sigmas: np.ndarray, p0: float, step: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fit c + rho cos(omega t + theta) to ``values`` with standard errors
+    ``sigmas``, starting from the frequency ``p0``.
+
+    Variable projection: three omegas ``step`` apart around ``p0``, moved
+    downhill with growing steps until the middle one has the lowest
+    profile residual r (``_profile``), bracket a minimum of r; Newton
+    steps on r then find it, each kept inside the bracket (a golden-section
+    step where Newton's is not). Returns popt = (c, rho, omega, theta),
+    with rho >= 0, omega > 0 and theta in [0, 2pi), and its covariance
+    from ``_covariance``, which is scipy.optimize.curve_fit's with
+    absolute_sigma=True. A start whose tone has a singular Jacobian (no
+    amplitude, so r has nothing to minimize) is returned as it is, with
+    an infinite covariance. Raises RuntimeError when FIT_MAX_STEPS
+    residual evaluations neither bracket nor locate a minimum.
+
+    The name and contract (a start in; popt and covariance out;
+    RuntimeError on failure) are those of the scipy function this
+    replaces, because the benchmark's tracer (bench/layers.py) counts fit
+    starts by wrapping this module attribute.
+    """
+    weights = 1.0 / sigmas
+    yw = values * weights
+
+    def evaluate(*omegas: float) -> list[_ProfilePoint]:
+        profile = _profile(np.array(omegas), times, weights, yw)
+        return [_ProfilePoint(*point) for point in zip(omegas, *profile)]
+
+    a, b, c = evaluate(max(p0 - step, 0.5 * p0), p0, p0 + step)
+    popt = _tone_params(p0, b.sol)
+    pcov = _covariance(times, weights, popt)
+    if not np.all(np.isfinite(pcov)):
+        return popt, pcov
+    latest = b
+    for _ in range(FIT_MAX_STEPS):
+        if not (b.r <= a.r and b.r <= c.r):
+            step *= 1.618  # golden-ratio growth, as in a downhill bracket search
+            if a.r < c.r:
+                a, b, c = *evaluate(max(a.omega - step, 0.5 * a.omega)), a, b
+            else:
+                a, b, c = b, c, *evaluate(c.omega + step)
+            latest = b
+            continue
+        # Newton from the latest point: near the minimum r is flat to
+        # rounding, so its slope, not its value, says where the minimum is
+        newton = -float(latest.grad) / float(latest.curv) if latest.curv > 0 else math.nan
+        if latest.curv > 0 and latest.grad**2 <= 2.0 * FIT_CHI2_TOL * latest.curv:
+            popt = _tone_params(latest.omega + newton, latest.sol + newton * latest.dsol)
+            return popt, _covariance(times, weights, popt)
+        x = latest.omega + newton
+        if not a.omega < x < c.omega:
+            wide = c.omega - b.omega > b.omega - a.omega
+            x = b.omega + 0.381966 * ((c.omega if wide else a.omega) - b.omega)
+        (latest,) = evaluate(x)
+        if latest.r <= b.r:
+            a, b, c = (a, latest, b) if x < b.omega else (b, latest, c)
+        else:
+            a, c = (latest, c) if x < b.omega else (a, latest)
+    raise RuntimeError(f"no minimum of the profile residual found from {p0:.6g}")
+
+
 def fit_gap(
     series: TimeSeries,
     freq_hint: float | None = None,
     sigma_floor: float = SIGMA_FLOOR,
 ) -> FitResult:
-    """Weighted nonlinear fit of c + rho cos(gap t + theta).
+    """Weighted least-squares fit of c + rho cos(gap t + theta).
 
-    Starts from the grid-search minima (or the caller's hint), keeps the
-    lowest-chi-square converged fit, and canonicalizes to rho >= 0,
-    theta in [0, 2pi), gap > 0. Raises ValueError for a hint that is not
-    finite and positive, FitError when nothing converges or the best
-    fit's covariance is not finite.
+    Runs ``curve_fit`` from each grid-search minimum (or from the caller's
+    hint), keeps the lowest-chi-square converged fit, reported with
+    rho >= 0, theta in [0, 2pi) and gap > 0. Raises ValueError for a hint
+    that is not finite and positive, FitError when nothing converges or
+    the best fit's covariance is not finite.
     """
-    if len(series) < 5:
-        raise ValueError("need at least 5 points to fit 4 parameters")
+    if len(series) < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} points to fit 4 parameters")
     if freq_hint is not None and not 0.0 < freq_hint < math.inf:
         raise ValueError(f"freq_hint must be a finite number > 0, got {freq_hint!r}")
     times, values = series.times, series.values
@@ -608,28 +745,12 @@ def fit_gap(
         starts = [float(freq_hint)]
     else:
         starts = [float(w) for w in frequency_grid_search(series, sigma_floor=sigma_floor).candidates]
-    weights = 1.0 / sigmas
+    step = math.pi / (float(times[-1] - times[0]) * OVERSAMPLE)
 
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     for omega0 in starts:
-        (c0, a0, b0), _ = _linear_tone_fit(times, values, weights, omega0)
-        rho0 = math.hypot(a0, b0)
-        theta0 = math.atan2(-b0, a0)
         try:
-            with warnings.catch_warnings():
-                # a singular Jacobian leaves pcov infinite; refused below
-                warnings.filterwarnings(
-                    "ignore", "Covariance of the parameters", OptimizeWarning
-                )
-                popt, pcov = curve_fit(
-                    _oscillation,
-                    times,
-                    values,
-                    p0=[c0, rho0, omega0, theta0],
-                    sigma=sigmas,
-                    absolute_sigma=True,
-                    maxfev=20000,
-                )
+            popt, pcov = curve_fit(times, values, sigmas, omega0, step)
         except RuntimeError:
             continue
         resid = (_oscillation(times, *popt) - values) / sigmas
@@ -643,25 +764,13 @@ def fit_gap(
     chi2, popt, pcov = best
     if not np.all(np.isfinite(pcov)):
         raise FitError("gap standard error is not finite: the series shows no tone")
+    weights = 1.0 / sigmas
     w2 = weights * weights
     c_flat = float((w2 * values).sum() / w2.sum())
     flat_chi2 = float(np.sum(((values - c_flat) / sigmas) ** 2))
     detected = (flat_chi2 - chi2) >= DETECTION_DELTA_CHI2
     offset, rho, omega, theta = (float(x) for x in popt)
-
-    jac = np.eye(4)
-    if rho < 0:
-        rho = -rho
-        theta += math.pi
-        jac[1, 1] = -1.0
-    if omega < 0:
-        omega = -omega
-        theta = -theta
-        jac[2, 2] = -1.0
-        jac[3, 3] = -1.0
-    theta %= 2.0 * math.pi
-    pcov = jac @ pcov @ jac.T
-    errs = np.sqrt(np.abs(np.diag(pcov)))
+    errs = np.sqrt(np.diag(pcov))
     reduced = chi2 / max(len(series) - 4, 1)
     return FitResult(
         gap=omega,

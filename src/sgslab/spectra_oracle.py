@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.random import default_rng
 
 from .pauli_core import (
     AXIS_CHARS,
@@ -148,7 +149,7 @@ def block_lanczos(h: QubitHamiltonian, k: int) -> SpectrumResult:
     plan = [(src, diag if dtype is complex else diag.real.copy()) for src, diag in plan]
     one_norm = h.coeff_one_norm()
     tol = KRYLOV_RESIDUAL_TOL * one_norm
-    rng = np.random.default_rng(KRYLOV_SEED)
+    rng = default_rng(KRYLOV_SEED)
     basis = np.empty((dim, 0), dtype=dtype)
     proj = np.empty((0, 0), dtype=dtype)
     w = _random_block(rng, dim, min(k + 1, dim), dtype)

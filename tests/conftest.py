@@ -69,6 +69,17 @@ def random_hamiltonian(rng, num_qubits, num_terms=6, scale=1.0) -> QubitHamilton
     return QubitHamiltonian(num_qubits, tuple(terms))
 
 
+def lstsq_tone_fit(times, values, weights, omega):
+    """Oracle: weighted LSQ of c + a cos(wt) + b sin(wt) at a fixed w by
+    lstsq; returns (c, a, b) and the weighted residual sum of squares."""
+    design = np.column_stack([np.ones_like(times), np.cos(omega * times), np.sin(omega * times)])
+    dw = design * weights[:, None]
+    yw = values * weights
+    sol, *_ = np.linalg.lstsq(dw, yw, rcond=None)
+    resid = dw @ sol - yw
+    return sol, float(resid @ resid)
+
+
 def random_state(rng, num_qubits) -> np.ndarray:
     amps = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
     return amps / np.linalg.norm(amps)

@@ -281,6 +281,21 @@ class TestFitCommand:
         fit = json.loads((out / "result.json").read_text())["fit"]
         assert fit["gap"] == pytest.approx(1.7, abs=1e-3)
 
+    def test_repeated_fits_byte_identical(self, tmp_path):
+        times = chebyshev_times(25, 0.0, 9.0)
+        rng = np.random.default_rng(3)
+        values = 0.1 + 0.45 * np.cos(1.7 * times + 0.3) + rng.normal(0.0, 0.02, times.shape)
+        csv_path = tmp_path / "series.csv"
+        TimeSeries(times, values, np.full_like(times, 0.02)).to_csv(csv_path)
+        outs = [tmp_path / "a", tmp_path / "b", tmp_path / "c"]
+        for out in outs[:2]:
+            assert main(["fit", str(csv_path), "--out", str(out)]) == 0
+        assert main(["fit", str(csv_path), "--freq-hint", "1.72", "--out", str(outs[2])]) == 0
+        results = [(out / "result.json").read_bytes() for out in outs]
+        assert results[0] == results[1]
+        assert json.loads(results[2])["fit"]["gap"] == pytest.approx(
+            json.loads(results[0])["fit"]["gap"], rel=1e-12)
+
     def test_subset_of_times_still_fits(self, tmp_path):
         # a 10-point subset of the 25 times, like a reduced hardware run
         times = chebyshev_times(25, 0.0, 9.0)[::3][:10]
@@ -364,6 +379,15 @@ class TestInputErrors:
         assert status == 2
         assert "series.csv" in err and "finite" in err
 
+    def test_too_few_rows_in_fit_series(self, tmp_path, capsys):
+        path = tmp_path / "series.csv"
+        times = chebyshev_times(4, 0.0, 3.0)
+        TimeSeries(times, np.cos(times), np.full_like(times, 0.01)).to_csv(path)
+        status, err = self.run(["fit", str(path), "--out", str(tmp_path / "o")], capsys)
+        assert status == 2
+        assert "series.csv" in err and "4 rows" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("study, changes, field", [
         ("ising", {"sweep": ["a"]}, "config.sweep[0]"),
         ("ising", {"length": "abc"}, "config.length"),
@@ -375,6 +399,8 @@ class TestInputErrors:
         ("ising", {"experiment": False}, "config.experiment: expected a mapping"),
         ("ising", {"experiment": {"time_window": ["a", 1]}}, "time_window"),
         ("ising", {"experiment": {"evo_steps": 10.5}}, "evo_steps"),
+        ("ising", {"experiment": {"evo_steps": 3}}, "evo_steps must be >= 5"),
+        ("ising", {"experiment": {"evo_steps": 4}}, "evo_steps must be >= 5"),
         ("ising", {"experiment": {"shots": 64.7}}, "shots"),
         ("ising", {"experiment": {"seed": 1.5}}, "seed"),
         ("ising", {"experiment": {"tau": "abc"}}, "tau"),
@@ -391,7 +417,8 @@ class TestInputErrors:
     ], ids=["sweep-item", "length-text", "length-zero", "experiment-list",
             "experiment-empty-list", "experiment-zero", "experiment-empty-string",
             "experiment-false",
-            "time-window-item", "evo-steps-float", "shots-float", "seed-float",
+            "time-window-item", "evo-steps-float", "evo-steps-3", "evo-steps-4",
+            "shots-float", "seed-float",
             "tau-text", "native-mode-removed", "independent-points-removed",
             "max-total-steps-removed", "input-item", "input-directory",
             "input-not-hamiltonian"])

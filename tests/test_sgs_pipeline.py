@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_hamiltonian
+from conftest import dense_hamiltonian, lstsq_tone_fit
 
 from sgslab import sgs_pipeline
 from sgslab.circuit_engine import (
@@ -23,7 +23,6 @@ from sgslab.sgs_pipeline import (
     FitError,
     StepBudgetError,
     TimeSeries,
-    _linear_tone_fit,
     _measure_series,
     chebyshev_times,
     default_sgs0_circuit,
@@ -202,8 +201,8 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(tau=1.0, time_window=(2.0, 1.0))
         for field, value in (
-            ("evo_steps", 10.5), ("shots", 64.7), ("seed", 1.5), ("therm_steps", "5"),
-            ("shots", True), ("tau", "abc"),
+            ("evo_steps", 10.5), ("evo_steps", 4), ("evo_steps", 3), ("shots", 64.7),
+            ("seed", 1.5), ("therm_steps", "5"), ("shots", True), ("tau", "abc"),
             ("tau", float("nan")), ("time_window", ("a", 1.0)), ("time_window", (1.0,)),
         ):
             with pytest.raises(ValueError, match=field):
@@ -335,7 +334,7 @@ class TestGridSearch:
             math.pi / (2.0 * window), math.pi / float(np.min(np.diff(times))),
             math.pi / (window * 16),
         )
-        residuals = np.array([_linear_tone_fit(times, values, weights, w)[1] for w in omegas])
+        residuals = np.array([lstsq_tone_fit(times, values, weights, w)[1] for w in omegas])
         yw = values * weights
         flat = float(np.sum(((weights @ yw) / (weights @ weights) * weights - yw) ** 2))
         interior = np.arange(1, len(omegas) - 1)
