@@ -50,6 +50,7 @@ from .sgs_pipeline import (
     auto_time_window,
     fit_gap,
     prepare_sgs0_basis_pair,
+    prepare_state,
     run_experiment,
     select_aux_pair,
 )
@@ -213,7 +214,7 @@ def load_config(path: Path) -> LoadedConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     study = _require(raw, "study", "config")
-    if study not in STUDIES:
+    if not isinstance(study, str) or study not in STUDIES:
         raise ConfigError(f"config.study: expected 'ising' or 'molecule', got {study!r}")
     return LoadedConfig(study, raw, path.parent.resolve())
 
@@ -303,17 +304,20 @@ STUDIES = {
 def _run_point(job) -> tuple[dict, TimeSeries | None]:
     """Run and fit one point; returns its result.json entry and its series
     (None when the fit failed). A noisy point first fits the noiseless
-    series and starts the noisy fit from that gap; both runs share one
-    window pilot."""
+    series and starts the noisy fit from that gap. The noiseless state is
+    prepared once, for the window pilot and the noiseless series."""
     study, cfg, (entry, h, h0, observable, prep) = job
+    clean_state = prepare_state(h, h0, replace(cfg, noise=None), prep)
     if cfg.time_window is None:
-        cfg = replace(cfg, time_window=auto_time_window(h, h0, observable, cfg, prep=prep))
+        window = auto_time_window(h, h0, observable, cfg, initial_state=clean_state)
+        cfg = replace(cfg, time_window=window)
+    clean_cfg = replace(cfg, noise=None)
     clean_fit = None
     try:
+        series = run_experiment(h, h0, observable, clean_cfg, initial_state=clean_state)
         if cfg.noise is not None:
-            clean_cfg = replace(cfg, noise=None)
-            clean_fit = fit_gap(run_experiment(h, h0, observable, clean_cfg, prep=prep))
-        series = run_experiment(h, h0, observable, cfg, prep=prep)
+            clean_fit = fit_gap(series)
+            series = run_experiment(h, h0, observable, cfg, prep=prep)
         fit = fit_gap(series, freq_hint=None if clean_fit is None else clean_fit.gap)
     except FitError as exc:
         return entry | {"fit_error": str(exc)}, None

@@ -44,16 +44,31 @@ ARIA_FIDELITY_1Q = 0.9998
 ARIA_FIDELITY_2Q = 0.99
 
 
+def _coherence(t_gate: float, t1: float, t2: float, gate: str = "t_gate") -> float:
+    """d = exp(-T_g/T1) + 2 exp(-T_g/T2). Raises ValueError naming the time
+    (``gate`` names T_g) that is NaN or out of range, or T_g when d
+    underflows to 0."""
+    # every comparison below is False for NaN
+    if not 0.0 <= t_gate < math.inf:
+        raise ValueError(f"{gate} must be finite and >= 0, got {t_gate!r}")
+    for name, t in (("t1", t1), ("t2", t2)):
+        if not t > 0.0:
+            raise ValueError(f"{name} must be > 0, got {t!r}")
+    d = math.exp(-t_gate / t1) + 2.0 * math.exp(-t_gate / t2)
+    if d == 0.0:
+        raise ValueError(
+            f"{gate} = {t_gate!r} leaves no coherence at t1 = {t1!r}, t2 = {t2!r}"
+        )
+    return d
+
+
 def depolarizing_param(fidelity: float, t_gate: float, t1: float, t2: float) -> float:
     """Depolarizing probability p = 1 + 3(2 eps - 1)/d for eps = 1 - F and
     d = exp(-T_g/T1) + 2 exp(-T_g/T2); clamped to [0, 1] with a warning."""
     if not 0.0 < fidelity <= 1.0:
         raise ValueError(f"fidelity must be in (0, 1], got {fidelity}")
-    if t_gate < 0 or t1 <= 0 or t2 <= 0:
-        raise ValueError("gate time must be >= 0 and relaxation times > 0")
     eps = 1.0 - fidelity
-    d = math.exp(-t_gate / t1) + 2.0 * math.exp(-t_gate / t2)
-    p = 1.0 + 3.0 * (2.0 * eps - 1.0) / d
+    p = 1.0 + 3.0 * (2.0 * eps - 1.0) / _coherence(t_gate, t1, t2)
     if p < 0.0 or p > 1.0:
         warnings.warn(
             f"depolarizing probability {p:.6g} clamped to [0, 1]", stacklevel=2
@@ -77,10 +92,8 @@ class NoiseModel:
     def __post_init__(self):
         if not 0.0 < self.fidelity_1q <= 1.0 or not 0.0 < self.fidelity_2q <= 1.0:
             raise ValueError("gate fidelities must be in (0, 1]")
-        if self.t1 <= 0 or self.t2 <= 0:
-            raise ValueError("relaxation times must be positive")
-        if self.t_gate_1q < 0 or self.t_gate_2q < 0:
-            raise ValueError("gate times must be >= 0")
+        _coherence(self.t_gate_1q, self.t1, self.t2, "t_gate_1q")
+        _coherence(self.t_gate_2q, self.t1, self.t2, "t_gate_2q")
         if not 0.0 <= self.readout_flip <= 1.0:
             raise ValueError("readout_flip must be a probability")
 

@@ -13,7 +13,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Literal, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import SeedSequence
@@ -78,8 +78,8 @@ _FIELD_KINDS = {
 # so the two-branch preparation fidelity check passes at 15 steps in the
 # middle of the coupling sweep.
 STUDY_PRESETS = {
-    "ising": {"tau": 7.0, "therm_steps": 15, "evo_steps": 25, "step_allocation": "per_point"},
-    "molecule": {"tau": 2.0, "therm_steps": 5, "evo_steps": 35, "step_allocation": "per_point"},
+    "ising": {"tau": 7.0, "therm_steps": 15, "evo_steps": 25},
+    "molecule": {"tau": 2.0, "therm_steps": 5, "evo_steps": 35},
 }
 
 
@@ -95,12 +95,10 @@ class FitError(RuntimeError):
 class ExperimentConfig:
     """Knobs of one gap-estimation run.
 
-    ``step_allocation`` picks how measurement times consume the evolution
-    budget: "cumulative" reaches the k-th time with k variable-length
-    steps (deepest circuit = therm_steps + evo_steps); "per_point" gives
-    every time its own circuit of exactly evo_steps equal-length steps,
-    keeping the same per-circuit depth bound. The deepest circuit may hold
-    at most MAX_TOTAL_STEPS steps unless ``override_step_budget`` is set.
+    Every measurement time gets its own circuit: the preparation, then
+    exactly evo_steps equal-length Trotter steps to that time. That circuit,
+    therm_steps + evo_steps steps deep, may hold at most MAX_TOTAL_STEPS
+    steps unless ``override_step_budget`` is set.
     """
 
     tau: float
@@ -110,7 +108,6 @@ class ExperimentConfig:
     seed: int = 0
     time_window: tuple[float, float] | None = None
     noise: NoiseModel | None = None
-    step_allocation: Literal["cumulative", "per_point"] = "cumulative"
     target_periods: float = DEFAULT_TARGET_PERIODS
     max_step_norm: float = DEFAULT_MAX_STEP_NORM
     override_step_budget: bool = False
@@ -136,8 +133,6 @@ class ExperimentConfig:
             )
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
-        if self.step_allocation not in ("cumulative", "per_point"):
-            raise ValueError(f"unknown step_allocation {self.step_allocation!r}")
         if self.time_window is not None:
             try:
                 t_min, t_max = (float(t) for t in self.time_window)
@@ -205,7 +200,14 @@ class TimeSeries:
         rows = Path(path).read_text().splitlines()
         if not rows or rows[0].strip().lower() != "t,mean,sigma":
             raise ValueError(f"{path}: expected header 't,mean,sigma'")
-        data = [tuple(float(x) for x in row.split(",")) for row in rows[1:] if row.strip()]
+        data = []
+        for line, row in enumerate(rows[1:], start=2):
+            if not row.strip():
+                continue
+            cells = row.split(",")
+            if len(cells) != 3:
+                raise ValueError(f"{path}:{line}: expected 3 fields t,mean,sigma, got {len(cells)}")
+            data.append([float(x) for x in cells])
         if not data:
             raise ValueError(f"{path}: no data rows")
         arr = np.array(data)
@@ -300,12 +302,12 @@ def _point_seed(seed: int, k: int) -> SeedSequence:
     return SeedSequence((int(seed) & 0xFFFFFFFF, k))
 
 
-def _prepare(
+def prepare_state(
     h: QubitHamiltonian,
     h0: QubitHamiltonian,
     cfg: ExperimentConfig,
-    prep: Circuit | None,
-    initial_state: StateVector | None,
+    prep: Circuit | None = None,
+    initial_state: StateVector | None = None,
 ) -> StateVector | DensityMatrix:
     """The state a series starts from: ``initial_state`` as given, or
     ``prep`` (inferred from H0 when None) followed by the thermalization.
@@ -334,16 +336,15 @@ def _measure_series(
     cfg: ExperimentConfig,
     shots: int | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evolve through the schedule and measure at each time.
+    """Evolve to each time and measure there.
 
     ``prefix`` is the prepared state, a DensityMatrix for a noisy series.
     ``shots=None`` records exact expectation values with zero sigma (used
-    by the window pilot). The precompiled step (native for a noisy series,
-    with each native gate's depolarizing channels) advances statevector
-    (2^n, T) or density (2^n, 2^n, T) columns: ``per_point`` evolves all
-    times at once, density times in blocks of at most
-    ``DENSITY_BATCH_BYTES``; ``cumulative`` advances one column from each
-    time to the next.
+    by the window pilot). Every time gets its own column, advanced by
+    evo_steps equal steps of the precompiled step (native for a noisy
+    series, with each native gate's depolarizing channels): statevector
+    (2^n, T) columns all at once, density (2^n, 2^n, T) columns in blocks
+    of at most ``DENSITY_BATCH_BYTES``.
     """
     noisy = isinstance(prefix, DensityMatrix)
     plan = compile_step(h, native=noisy, noise=cfg.noise)
@@ -355,23 +356,13 @@ def _measure_series(
         block = len(times)
     values = np.empty(len(times))
     sigmas = np.zeros(len(times))
-
-    def measure(k: int, column: np.ndarray) -> None:
-        state = wrap(h.num_qubits, column)
-        values[k], sigmas[k] = _measure_state(state, o, cfg, shots, k)
-
-    if cfg.step_allocation == "per_point":
-        for lo in range(0, len(times), block):
-            chunk = times[lo:lo + block]
-            batch = np.repeat(start[..., None], len(chunk), axis=-1)
-            evolve(plan, batch, chunk / cfg.evo_steps, cfg.evo_steps)
-            for k in range(len(chunk)):
-                measure(lo + k, batch[..., k])
-        return values, sigmas
-    column = start[..., None].copy()
-    for k, dt in enumerate(np.diff(times, prepend=0.0)):
-        evolve(plan, column, [dt])
-        measure(k, column[..., 0])
+    for lo in range(0, len(times), block):
+        chunk = times[lo:lo + block]
+        batch = np.repeat(start[..., None], len(chunk), axis=-1)
+        evolve(plan, batch, chunk / cfg.evo_steps, cfg.evo_steps)
+        for k in range(lo, lo + len(chunk)):
+            state = wrap(h.num_qubits, batch[..., k - lo])
+            values[k], sigmas[k] = _measure_state(state, o, cfg, shots, k)
     return values, sigmas
 
 
@@ -386,13 +377,6 @@ def _measure_state(state, o: PauliString, cfg: ExperimentConfig, shots, k: int):
     else:
         sample = sample_expectation(state, o, shots, seed)
     return sample.mean, sample.std_error
-
-
-def _max_step_of_window(times: np.ndarray, cfg: ExperimentConfig) -> float:
-    if cfg.step_allocation == "cumulative":
-        with_zero = np.concatenate([[0.0], times])
-        return float(np.max(np.diff(with_zero)))
-    return float(times.max() / cfg.evo_steps)
 
 
 def auto_time_window(
@@ -416,21 +400,14 @@ def auto_time_window(
     dt_max = cfg.max_step_norm / norm1
 
     def clamp_window(t_max: float) -> float:
-        times = chebyshev_times(cfg.evo_steps, 0.0, t_max)
-        step = _max_step_of_window(times, cfg)
+        step = float(chebyshev_times(cfg.evo_steps, 0.0, t_max).max() / cfg.evo_steps)
         if step > dt_max:
             t_max *= dt_max / step
         return t_max
 
-    # longest admissible window for the pilot
-    if cfg.step_allocation == "per_point":
-        t_pilot = dt_max * cfg.evo_steps
-    else:
-        probe = chebyshev_times(cfg.evo_steps, 0.0, 1.0)
-        t_pilot = dt_max / _max_step_of_window(probe, cfg)
-
+    t_pilot = dt_max * cfg.evo_steps  # longest admissible window for the pilot
     pilot_cfg = replace(cfg, noise=None)
-    prefix = _prepare(h, h0, pilot_cfg, prep, initial_state)
+    prefix = prepare_state(h, h0, pilot_cfg, prep, initial_state)
     pilot_times = chebyshev_times(cfg.evo_steps, 0.0, t_pilot)
     values, _ = _measure_series(h, o, prefix, pilot_times, pilot_cfg, shots=None)
     pilot = TimeSeries(pilot_times, values, np.zeros_like(values))
@@ -455,7 +432,8 @@ def run_experiment(
 
     ``prep`` overrides the inferred starting-superposition circuit;
     ``initial_state`` bypasses preparation and thermalization entirely
-    (used to drive the pipeline from an exactly constructed superposition).
+    (used to drive the pipeline from an exactly constructed superposition,
+    or from a state ``prepare_state`` already built).
     """
     if h.num_qubits != h0.num_qubits or o.num_qubits != h.num_qubits:
         raise ValueError("Hamiltonians and observable must share the qubit count")
@@ -464,7 +442,7 @@ def run_experiment(
     else:
         t_min, t_max = auto_time_window(h, h0, o, cfg, prep, initial_state)
     times = chebyshev_times(cfg.evo_steps, t_min, t_max)
-    prefix = _prepare(h, h0, cfg, prep, initial_state)
+    prefix = prepare_state(h, h0, cfg, prep, initial_state)
     values, sigmas = _measure_series(h, o, prefix, times, cfg, cfg.shots)
     return TimeSeries(times, values, sigmas)
 

@@ -150,7 +150,6 @@ def test_criterion_4_closed_form_equivalence():
             evo_steps=25,
             shots=shots,
             seed=int(rng.integers(2**31)),
-            step_allocation="per_point",
             target_periods=2.5,
             max_step_norm=0.2,
         )
@@ -297,7 +296,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         "sweep": [2.4, 3.2],
         "experiment": {
             "tau": 7.0, "therm_steps": 15, "evo_steps": 25,
-            "shots": 2048, "seed": 5, "step_allocation": "per_point",
+            "shots": 2048, "seed": 5,
         },
     }))
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -29,7 +29,6 @@ def small_ising_config(tmp_path, **extra):
             "evo_steps": 10,
             "shots": 1024,
             "seed": 4,
-            "step_allocation": "per_point",
         },
         "noise": "none",
     }
@@ -181,6 +180,24 @@ class TestIsingCommand:
         assert main(["ising", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("noise", ["none", "aria"])
+    def test_point_prepares_noiseless_state_once(self, tmp_path, monkeypatch, noise):
+        # the window pilot and the noiseless series start from one prepared
+        # state; a noisy point prepares its own state under noise
+        import sgslab.sgs_pipeline as pipeline
+
+        calls = []
+        original = pipeline.run_circuit
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_circuit", counted)
+        cfg = small_ising_config(tmp_path, sweep=[2.2, 2.5], noise=noise)
+        assert main(["ising", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 2
+
 
 class TestMoleculeCommand:
     def test_qubit_fixture_run(self, tmp_path):
@@ -193,7 +210,7 @@ class TestMoleculeCommand:
             }],
             "experiment": {
                 "tau": 2.0, "therm_steps": 5, "evo_steps": 35,
-                "shots": 2048, "seed": 4, "step_allocation": "per_point",
+                "shots": 2048, "seed": 4,
             },
         })
         out = tmp_path / "out"
@@ -216,7 +233,7 @@ class TestMoleculeCommand:
             }],
             "experiment": {
                 "tau": 2.0, "therm_steps": 5, "evo_steps": 35,
-                "shots": 1024, "seed": 4, "step_allocation": "per_point",
+                "shots": 1024, "seed": 4,
             },
         })
         out = tmp_path / "out"
@@ -379,6 +396,28 @@ class TestInputErrors:
         assert status == 2
         assert "series.csv" in err and "finite" in err
 
+    @pytest.mark.parametrize("row", ["1,0.2", "1,0.2,0.01,5"], ids=["two-fields", "four-fields"])
+    def test_wrong_field_count_in_fit_series(self, tmp_path, capsys, row):
+        path = tmp_path / "series.csv"
+        path.write_text(f"t,mean,sigma\n0,0.1,0.01\n{row}\n2,0.3,0.01\n")
+        status, err = self.run(["fit", str(path), "--out", str(tmp_path / "o")], capsys)
+        assert status == 2
+        assert "series.csv:3: expected 3 fields" in err
+
+    @pytest.mark.parametrize("timings, field", [
+        ({"t1": float("nan")}, "t1"),
+        ({"t_gate_1q": float("inf")}, "t_gate_1q"),
+        ({"t1": 1e-9, "t2": 1e-9}, "t_gate_1q"),
+    ], ids=["t1-nan", "t-gate-inf", "coherence-underflow"])
+    def test_bad_custom_noise_timing(self, tmp_path, capsys, timings, field):
+        write_yaml(tmp_path / "noise.yaml", {"fidelity_1q": 0.999, "fidelity_2q": 0.985} | timings)
+        cfg = small_ising_config(tmp_path, noise="custom:noise.yaml")
+        status, err = self.run(
+            ["ising", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys
+        )
+        assert status == 2
+        assert "noise.yaml" in err and field in err
+
     def test_too_few_rows_in_fit_series(self, tmp_path, capsys):
         path = tmp_path / "series.csv"
         times = chebyshev_times(4, 0.0, 3.0)
@@ -410,6 +449,9 @@ class TestInputErrors:
          "config.experiment.independent_points: unknown field"),
         ("ising", {"experiment": {"max_total_steps": 50}},
          "config.experiment.max_total_steps: unknown field"),
+        ("ising", {"experiment": {"step_allocation": "per_point"}},
+         "config.experiment.step_allocation: unknown field"),
+        ("ising", {"study": ["ising"]}, "config.study"),
         ("molecule", {"inputs": ["h2.txt"]}, "config.inputs[0]"),
         ("molecule", {"inputs": [{"label": "x", "path": "."}]}, "config.inputs[0].path"),
         ("molecule", {"inputs": [{"label": "x", "path": "config.yaml"}]},
@@ -420,7 +462,7 @@ class TestInputErrors:
             "time-window-item", "evo-steps-float", "evo-steps-3", "evo-steps-4",
             "shots-float", "seed-float",
             "tau-text", "native-mode-removed", "independent-points-removed",
-            "max-total-steps-removed", "input-item", "input-directory",
+            "max-total-steps-removed", "step-allocation-removed", "study-list", "input-item", "input-directory",
             "input-not-hamiltonian"])
     def test_bad_config_value(self, tmp_path, capsys, study, changes, field):
         path = small_ising_config(tmp_path)

@@ -77,6 +77,15 @@ class TestDepolarizingParam:
             depolarizing_param(1.2, 0.0, 100.0, 1.0)
         with pytest.raises(ValueError):
             depolarizing_param(0.99, -1.0, 100.0, 1.0)
+        for args, name in (
+            ((0.99, 0.0, math.nan, 1.0), "t1"),
+            ((0.99, 0.0, 100.0, math.nan), "t2"),
+            ((0.99, math.nan, 100.0, 1.0), "t_gate"),
+            ((0.99, math.inf, 100.0, 1.0), "t_gate"),
+            ((0.99, 135e-6, 1e-9, 1e-9), "no coherence"),
+        ):
+            with pytest.raises(ValueError, match=name):
+                depolarizing_param(*args)
 
 
 class TestNoiseModel:
@@ -93,6 +102,20 @@ class TestNoiseModel:
             NoiseModel(fidelity_1q=0.0, fidelity_2q=0.99)
         with pytest.raises(ValueError):
             NoiseModel(fidelity_1q=0.99, fidelity_2q=0.99, readout_flip=1.5)
+
+    @pytest.mark.parametrize("timings, field", [
+        ({"t1": math.nan}, "t1"),
+        ({"t2": math.nan}, "t2"),
+        ({"t_gate_2q": math.nan}, "t_gate_2q"),
+        ({"t_gate_1q": math.inf}, "t_gate_1q"),
+        ({"t1": 1e-9, "t2": 1e-9}, "t_gate_1q"),
+        ({"t1": 5e-7, "t2": 5e-7}, "t_gate_2q"),
+    ], ids=["t1-nan", "t2-nan", "t-gate-2q-nan", "t-gate-inf", "underflow-1q", "underflow-2q"])
+    def test_rejects_timing_that_leaves_p_undefined(self, timings, field):
+        # NaN would make p NaN, so compile_gates would drop every channel;
+        # d = 0 would divide by zero in depolarizing_param
+        with pytest.raises(ValueError, match=field):
+            NoiseModel(fidelity_1q=0.99, fidelity_2q=0.99, **timings)
 
     def test_aria_preset(self):
         model = aria_noise_model()

@@ -197,8 +197,6 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(tau=1.0, shots=0)
         with pytest.raises(ValueError):
-            ExperimentConfig(tau=1.0, step_allocation="bogus")
-        with pytest.raises(ValueError):
             ExperimentConfig(tau=1.0, time_window=(2.0, 1.0))
         for field, value in (
             ("evo_steps", 10.5), ("evo_steps", 4), ("evo_steps", 3), ("shots", 64.7),
@@ -232,20 +230,8 @@ class TestEvolutionSteps:
         _measure_series(h, PauliString.from_word("XI"), prefix, times, cfg, shots=None)
         return calls
 
-    def test_cumulative_allocation(self, monkeypatch):
-        cfg = ExperimentConfig(tau=1.0, therm_steps=0, evo_steps=5)
-        times = np.array([0.1, 0.4, 0.9, 1.4, 2.0])
-        calls = self.kernel_calls(monkeypatch, cfg, times)
-        # one column, one step per time: the k-th time is reached after k + 1
-        # steps, never more than evo_steps
-        assert [(len(dts), n_steps, width) for dts, n_steps, width in calls] == [(1, 1, 1)] * 5
-        reached = np.cumsum([dts[0] for dts, _, _ in calls])
-        np.testing.assert_allclose(reached, times, rtol=1e-15)
-
     def test_per_point_allocation(self, monkeypatch):
-        cfg = ExperimentConfig(
-            tau=1.0, therm_steps=0, evo_steps=5, step_allocation="per_point"
-        )
+        cfg = ExperimentConfig(tau=1.0, therm_steps=0, evo_steps=5)
         times = np.array([0.1, 0.4, 0.9, 1.4, 2.0])
         ((dts, n_steps, width),) = self.kernel_calls(monkeypatch, cfg, times)
         # every time its own column of exactly evo_steps equal steps
@@ -349,8 +335,7 @@ class TestGridSearch:
     def test_matches_lstsq_per_omega(self, shots):
         # shots=None: exact values with sigma 0, floored like the pilot's
         h = build_ising(IsingSpec.chain(3, 1.0, 2.6))
-        cfg = ExperimentConfig(tau=3.0, therm_steps=5, evo_steps=30, seed=3,
-                               step_allocation="per_point")
+        cfg = ExperimentConfig(tau=3.0, therm_steps=5, evo_steps=30, seed=3)
         prefix = run_circuit(prepare_sgs0_ising(3))
         times = chebyshev_times(cfg.evo_steps, 0.0, 6.0)
         values, sigmas = _measure_series(
@@ -520,21 +505,14 @@ class TestRunExperiment:
 
 def reference_steps(times, cfg):
     """Step lengths that reach each time from the prepared state: evo_steps
-    equal steps per point, or every gap between the times so far when
-    cumulative."""
-    if cfg.step_allocation == "per_point":
-        return [[t / cfg.evo_steps] * cfg.evo_steps for t in times]
-    return [[times[0]] + [times[i] - times[i - 1] for i in range(1, k + 1)]
-            for k in range(len(times))]
+    equal steps per point."""
+    return [[t / cfg.evo_steps] * cfg.evo_steps for t in times]
 
 
 class TestSeriesKernel:
     """Batched series against a gate-by-gate run of every trotter_step."""
 
-    @pytest.mark.parametrize(
-        "allocation", ["per_point", "cumulative"], ids=["per_point-False", "cumulative-False"]
-    )
-    def test_matches_gate_loop(self, rng, allocation):
+    def test_matches_gate_loop(self, rng):
         from conftest import random_state
 
         h = QubitHamiltonian.from_terms(
@@ -542,7 +520,7 @@ class TestSeriesKernel:
         )
         o = PauliString.from_word("XIIY")
         prefix = StateVector(4, random_state(rng, 4))
-        cfg = ExperimentConfig(tau=1.0, therm_steps=0, evo_steps=9, step_allocation=allocation)
+        cfg = ExperimentConfig(tau=1.0, therm_steps=0, evo_steps=9)
         times = chebyshev_times(cfg.evo_steps, 0.0, 2.5)
         values, sigmas = _measure_series(h, o, prefix, times, cfg, shots=None)
         for k, steps in enumerate(reference_steps(times, cfg)):
@@ -554,11 +532,9 @@ class TestSeriesKernel:
 
 
     @pytest.mark.parametrize(
-        "allocation,batch_bytes",
-        [("per_point", None), ("per_point", 3 * 64 * 16), ("cumulative", None)],
-        ids=["per_point", "per_point-blocks-of-3", "cumulative"],
+        "batch_bytes", [None, 3 * 64 * 16], ids=["per_point", "per_point-blocks-of-3"]
     )
-    def test_noisy_matches_run_noisy_loop(self, rng, monkeypatch, allocation, batch_bytes):
+    def test_noisy_matches_run_noisy_loop(self, rng, monkeypatch, batch_bytes):
         from conftest import random_state
 
         if batch_bytes is not None:
@@ -567,8 +543,7 @@ class TestSeriesKernel:
         o = PauliString.from_word("XII")
         noise = aria_noise_model()
         prefix = DensityMatrix.from_pure(StateVector(3, random_state(rng, 3)))
-        cfg = ExperimentConfig(tau=1.0, therm_steps=0, evo_steps=8, noise=noise,
-                               step_allocation=allocation)
+        cfg = ExperimentConfig(tau=1.0, therm_steps=0, evo_steps=8, noise=noise)
         times = chebyshev_times(cfg.evo_steps, 0.0, 2.5)
         values, _ = _measure_series(h, o, prefix, times, cfg, shots=None)
         for k, steps in enumerate(reference_steps(times, cfg)):
@@ -617,19 +592,6 @@ class TestMoreProperties:
         h0 = QubitHamiltonian.from_terms(4, [("ZIII", -1.0)])
         with pytest.raises(ValueError, match="oracle"):
             select_aux_pair(h0)
-
-
-def test_cumulative_mode_end_to_end_ising():
-    # the default allocation also recovers the gap, just with a somewhat
-    # larger product-formula bias than the per_point presets
-    spec = IsingSpec.chain(4, 1.0, 2.8)
-    h, h0 = build_ising(spec), ising_auxiliary(spec)
-    o = PauliString.from_word("XIII")
-    cfg = ExperimentConfig(tau=7.0, therm_steps=15, evo_steps=25, shots=8192,
-                           seed=7, step_allocation="cumulative")
-    fit = fit_gap(run_experiment(h, h0, o, cfg))
-    gap = benchmark_gap(h, 0, 1)
-    assert abs(fit.gap - gap) / gap < 0.1
 
 
 def test_grid_search_resolves_fast_tone_near_sampling_limit():
