@@ -25,6 +25,7 @@ from pathlib import Path
 import yaml
 
 from . import __version__
+from .circuit_engine import compile_step
 from .hamiltonians import (
     IsingSpec,
     build_ising,
@@ -304,17 +305,23 @@ STUDIES = {
 def _run_point(job) -> tuple[dict, TimeSeries | None]:
     """Run and fit one point; returns its result.json entry and its series
     (None when the fit failed). A noisy point first fits the noiseless
-    series and starts the noisy fit from that gap. The noiseless state is
-    prepared once, for the window pilot and the noiseless series."""
+    series and starts the noisy fit from that gap. The noiseless state and
+    step are prepared and compiled once, for the window pilot and the
+    noiseless series."""
     study, cfg, (entry, h, h0, observable, prep) = job
     clean_state = prepare_state(h, h0, replace(cfg, noise=None), prep)
+    clean_plan = compile_step(h)
     if cfg.time_window is None:
-        window = auto_time_window(h, h0, observable, cfg, initial_state=clean_state)
+        window = auto_time_window(
+            h, h0, observable, cfg, initial_state=clean_state, clean_plan=clean_plan
+        )
         cfg = replace(cfg, time_window=window)
     clean_cfg = replace(cfg, noise=None)
     clean_fit = None
     try:
-        series = run_experiment(h, h0, observable, clean_cfg, initial_state=clean_state)
+        series = run_experiment(
+            h, h0, observable, clean_cfg, initial_state=clean_state, clean_plan=clean_plan
+        )
         if cfg.noise is not None:
             clean_fit = fit_gap(series)
             series = run_experiment(h, h0, observable, cfg, prep=prep)

@@ -9,8 +9,9 @@ applies independent symmetric bit flips per measured qubit.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.random import default_rng
@@ -90,6 +91,12 @@ class NoiseModel:
     readout_flip: float = DEFAULT_READOUT_FLIP
 
     def __post_init__(self):
+        # YAML 1.1 reads 1e9 (no decimal point) as a string and true as a
+        # bool; name the field rather than fail, or run, on such a value
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
         if not 0.0 < self.fidelity_1q <= 1.0 or not 0.0 < self.fidelity_2q <= 1.0:
             raise ValueError("gate fidelities must be in (0, 1]")
         _coherence(self.t_gate_1q, self.t1, self.t2, "t_gate_1q")
@@ -180,7 +187,7 @@ def evolve_density(plan: StepPlan, batch: np.ndarray, dts, n_steps: int = 1) -> 
     the columns with the conjugate phase. The plan's depolarizing
     channels follow the last rotation of their gate.
     """
-    cos, sin = plan.half_angle_trig(dts)
+    cos, sin = plan.half_angle_trig(dts, batch.shape[-1])
     by_column = batch.transpose(1, 0, 2)
     for _ in range(n_steps):
         for (src, phase), c, s, (targets, p) in zip(plan.plans, cos, sin, plan.channels):

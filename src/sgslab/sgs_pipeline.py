@@ -21,6 +21,7 @@ from numpy.random import SeedSequence
 from .circuit_engine import (
     Circuit,
     StateVector,
+    StepPlan,
     adiabatic_circuit,
     cnot,
     compile_native,
@@ -335,23 +336,26 @@ def _measure_series(
     times: np.ndarray,
     cfg: ExperimentConfig,
     shots: int | None,
+    clean_plan: StepPlan | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evolve to each time and measure there.
 
     ``prefix`` is the prepared state, a DensityMatrix for a noisy series.
     ``shots=None`` records exact expectation values with zero sigma (used
     by the window pilot). Every time gets its own column, advanced by
-    evo_steps equal steps of the precompiled step (native for a noisy
-    series, with each native gate's depolarizing channels): statevector
-    (2^n, T) columns all at once, density (2^n, 2^n, T) columns in blocks
-    of at most ``DENSITY_BATCH_BYTES``.
+    evo_steps equal steps of the precompiled step: statevector (2^n, T)
+    columns all at once on ``clean_plan`` (``compile_step(h)``, compiled
+    here when None), density (2^n, 2^n, T) columns in blocks of at most
+    ``DENSITY_BATCH_BYTES`` on the native step with each native gate's
+    depolarizing channels.
     """
     noisy = isinstance(prefix, DensityMatrix)
-    plan = compile_step(h, native=noisy, noise=cfg.noise)
     if noisy:
+        plan = compile_step(h, native=True, noise=cfg.noise)
         start, evolve, wrap = prefix.matrix, evolve_density, DensityMatrix
         block = max(1, DENSITY_BATCH_BYTES // start.nbytes)
     else:
+        plan = clean_plan if clean_plan is not None else compile_step(h)
         start, evolve, wrap = prefix.amplitudes, evolve_columns, StateVector
         block = len(times)
     values = np.empty(len(times))
@@ -386,13 +390,15 @@ def auto_time_window(
     cfg: ExperimentConfig,
     prep: Circuit | None = None,
     initial_state: StateVector | None = None,
+    clean_plan: StepPlan | None = None,
 ) -> tuple[float, float]:
     """Choose [0, t_max] covering ``target_periods`` oscillations.
 
     A shot-free pilot at the longest window allowed by the per-step size
     bound (dt * sum|coeff| <= max_step_norm) estimates the frequency with
     the linearized grid search; the window is then set from that guess and
-    re-clamped. Noisy configurations run the pilot noiselessly.
+    re-clamped. Noisy configurations run the pilot noiselessly, on
+    ``clean_plan`` when given (see ``run_experiment``).
     """
     norm1 = h.coeff_one_norm()
     if norm1 <= 0:
@@ -409,7 +415,7 @@ def auto_time_window(
     pilot_cfg = replace(cfg, noise=None)
     prefix = prepare_state(h, h0, pilot_cfg, prep, initial_state)
     pilot_times = chebyshev_times(cfg.evo_steps, 0.0, t_pilot)
-    values, _ = _measure_series(h, o, prefix, pilot_times, pilot_cfg, shots=None)
+    values, _ = _measure_series(h, o, prefix, pilot_times, pilot_cfg, None, clean_plan)
     pilot = TimeSeries(pilot_times, values, np.zeros_like(values))
     search = frequency_grid_search(pilot)
     if search.significant and search.candidates.size:
@@ -427,23 +433,28 @@ def run_experiment(
     cfg: ExperimentConfig,
     prep: Circuit | None = None,
     initial_state: StateVector | None = None,
+    clean_plan: StepPlan | None = None,
 ) -> TimeSeries:
     """Full pipeline: prepare, thermalize, evolve, sample.
 
     ``prep`` overrides the inferred starting-superposition circuit;
     ``initial_state`` bypasses preparation and thermalization entirely
     (used to drive the pipeline from an exactly constructed superposition,
-    or from a state ``prepare_state`` already built).
+    or from a state ``prepare_state`` already built). ``clean_plan``, the
+    noiseless ``compile_step(h)``, is used by every noiseless series the
+    call runs (the window pilot, and the series itself without noise), so
+    a caller can compile it once for several runs; None compiles it here.
+    A noisy series always compiles its own native step.
     """
     if h.num_qubits != h0.num_qubits or o.num_qubits != h.num_qubits:
         raise ValueError("Hamiltonians and observable must share the qubit count")
     if cfg.time_window is not None:
         t_min, t_max = cfg.time_window
     else:
-        t_min, t_max = auto_time_window(h, h0, o, cfg, prep, initial_state)
+        t_min, t_max = auto_time_window(h, h0, o, cfg, prep, initial_state, clean_plan)
     times = chebyshev_times(cfg.evo_steps, t_min, t_max)
     prefix = prepare_state(h, h0, cfg, prep, initial_state)
-    values, sigmas = _measure_series(h, o, prefix, times, cfg, cfg.shots)
+    values, sigmas = _measure_series(h, o, prefix, times, cfg, cfg.shots, clean_plan)
     return TimeSeries(times, values, sigmas)
 
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import (
+    DATA_DIR,
     dense_hamiltonian,
     dense_pauli,
     dense_word,
@@ -13,6 +14,7 @@ from conftest import (
 )
 
 from sgslab.circuit_engine import (
+    _flip_mask_blocks,
     Circuit,
     StateVector,
     adiabatic_circuit,
@@ -39,7 +41,7 @@ from sgslab.circuit_engine import (
     trotter_step,
     trotter_term_order,
 )
-from sgslab.hamiltonians import IsingSpec, build_ising, ising_auxiliary
+from sgslab.hamiltonians import IsingSpec, build_ising, ising_auxiliary, load_qubit_hamiltonian
 from sgslab.pauli_core import PauliString, QubitHamiltonian
 
 
@@ -363,6 +365,74 @@ class TestStepKernel:
             for _ in range(4):
                 run_circuit(step, state)
             np.testing.assert_allclose(columns[:, k], state.amplitudes, atol=1e-12)
+
+    # Canonical order: a leading diagonal run, masks 01000, 01001, 01000
+    # again, the anticommuting XIIII and YZIII on mask 10000, then a
+    # trailing diagonal run: 4 blocks.
+    FUSED_WORDS = ("IIIIZ", "IIIZZ", "IXIII", "IXIIX", "IYIII", "XIIII", "YZIII", "ZIIII", "ZZZZZ")
+
+    @staticmethod
+    def fused_case(name, rng):
+        if name == "mixed":
+            words = TestStepKernel.FUSED_WORDS
+            return QubitHamiltonian.from_terms(5, [(w, float(rng.normal())) for w in words])
+        if name == "diagonal":
+            return QubitHamiltonian.from_terms(3, [("ZZI", 0.4), ("IZZ", -0.7), ("ZII", 0.2)])
+        if name == "ising4":
+            return build_ising(IsingSpec.chain(4, 1.0, 2.3))
+        return load_qubit_hamiltonian(DATA_DIR / "molecules" / f"{name}.qubits.txt")
+
+    @staticmethod
+    def gate_loop(h, start, dts, n_steps):
+        out = []
+        for k, dt in enumerate(dts):
+            step = trotter_step(h, dt)
+            state = StateVector(h.num_qubits, start[:, k].copy())
+            for _ in range(n_steps):
+                run_circuit(step, state)
+            out.append(state.amplitudes)
+        return np.column_stack(out)
+
+    @pytest.mark.parametrize("name, blocks, rotations", [
+        ("mixed", 4, 9),
+        ("diagonal", 1, 3),
+        ("ising4", 4, 8),
+        ("h2_r0735", 1, 14),
+        ("he2_r100", 16, 68),
+    ])
+    def test_flip_mask_blocks_match_gate_loop(self, rng, name, blocks, rotations):
+        h = self.fused_case(name, rng)
+        plan = compile_step(h)
+        dts = np.array([0.04, 0.17])
+        fused = _flip_mask_blocks(plan, *plan.half_angle_trig(dts, len(dts)))
+        assert (len(fused), len(plan.plans)) == (blocks, rotations)
+        assert (fused[0][0] is None) == (name == "diagonal")
+        start = np.column_stack([random_state(rng, h.num_qubits) for _ in dts])
+        columns = evolve_columns(plan, start.copy(), dts, n_steps=3)
+        np.testing.assert_allclose(columns, self.gate_loop(h, start, dts, 3), atol=1e-12)
+
+    def test_blocks_follow_mask_runs(self, rng):
+        plan = compile_step(self.fused_case("mixed", rng))
+        fused = _flip_mask_blocks(plan, *plan.half_angle_trig([0.1], 1))
+        assert [int(src[0]) for src, _, _ in fused] == [0b01000, 0b01001, 0b01000, 0b10000]
+
+    @pytest.mark.parametrize("dts, n_steps", [
+        ([0.23], 5),
+        ([0.05, 0.31, 0.6], 1),
+    ], ids=["one-column", "one-step"])
+    def test_fused_step_edge_shapes(self, rng, dts, n_steps):
+        h = self.fused_case("mixed", rng)
+        start = np.column_stack([random_state(rng, 5) for _ in dts])
+        columns = evolve_columns(compile_step(h), start.copy(), dts, n_steps)
+        np.testing.assert_allclose(columns, self.gate_loop(h, start, dts, n_steps), atol=1e-12)
+
+    @pytest.mark.parametrize("dts", [[0.1], [0.1, 0.2, 0.3, 0.4], 0.1],
+                             ids=["too-few", "too-many", "scalar"])
+    def test_rejects_dts_not_one_per_column(self, rng, dts):
+        # one dt would otherwise be broadcast over every column
+        plan = compile_step(self.fused_case("mixed", rng))
+        with pytest.raises(ValueError, match="one step length per column"):
+            evolve_columns(plan, np.zeros((32, 3), complex), dts, n_steps=2)
 
 
 class TestMeasurement:

@@ -198,6 +198,27 @@ class TestIsingCommand:
         assert main(["ising", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("noise", ["none", "aria"])
+    def test_point_compiles_noiseless_step_once(self, tmp_path, monkeypatch, noise):
+        # the window pilot and the noiseless series share one noiseless
+        # plan; a noisy point compiles its native step once more
+        import sgslab.cli as cli
+        import sgslab.sgs_pipeline as pipeline
+
+        calls = []
+        original = pipeline.compile_step
+
+        def counted(h, native=False, noise=None):
+            calls.append(native)
+            return original(h, native, noise)
+
+        monkeypatch.setattr(pipeline, "compile_step", counted)
+        monkeypatch.setattr(cli, "compile_step", counted)
+        cfg = small_ising_config(tmp_path, sweep=[2.2, 2.5], noise=noise)
+        assert main(["ising", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert calls.count(False) == 2
+        assert calls.count(True) == (2 if noise == "aria" else 0)
+
 
 class TestMoleculeCommand:
     def test_qubit_fixture_run(self, tmp_path):
@@ -417,6 +438,20 @@ class TestInputErrors:
         )
         assert status == 2
         assert "noise.yaml" in err and field in err
+
+    @pytest.mark.parametrize("line, field", [
+        ("t1: 1e9", "t1"),
+        ("fidelity_2q: true", "fidelity_2q"),
+    ], ids=["yaml-string", "yaml-bool"])
+    def test_non_number_in_custom_noise(self, tmp_path, capsys, line, field):
+        # YAML 1.1 reads 1e9 without a decimal point as a string
+        (tmp_path / "noise.yaml").write_text(f"fidelity_1q: 0.999\nfidelity_2q: 0.985\n{line}\n")
+        cfg = small_ising_config(tmp_path, noise="custom:noise.yaml")
+        status, err = self.run(
+            ["ising", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys
+        )
+        assert status == 2
+        assert "noise.yaml" in err and f"{field} must be a number" in err
 
     def test_too_few_rows_in_fit_series(self, tmp_path, capsys):
         path = tmp_path / "series.csv"

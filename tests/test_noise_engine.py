@@ -117,6 +117,15 @@ class TestNoiseModel:
         with pytest.raises(ValueError, match=field):
             NoiseModel(fidelity_1q=0.99, fidelity_2q=0.99, **timings)
 
+    @pytest.mark.parametrize("field, value", [
+        ("t1", "1e9"), ("fidelity_2q", True), ("readout_flip", None), ("t_gate_2q", [6e-4]),
+    ], ids=["t1-string", "fidelity-bool", "readout-none", "t-gate-list"])
+    def test_rejects_non_numbers(self, field, value):
+        # a bool passed the range check as 1.0, a string failed a comparison
+        # without naming the field
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            NoiseModel(**{"fidelity_1q": 0.99, "fidelity_2q": 0.99, field: value})
+
     def test_aria_preset(self):
         model = aria_noise_model()
         assert model.fidelity_2q == 0.99
@@ -373,6 +382,13 @@ class TestDensityKernel:
             for _ in range(3):
                 run_noisy(trotter_step(h, dt, native=True), noise, initial=rho)
             np.testing.assert_array_equal(batch[:, :, k], rho.matrix)
+
+    def test_rejects_dts_not_one_per_column(self):
+        # one dt would otherwise be broadcast over every column
+        h = build_ising(IsingSpec.chain(2, 1.0, 2.3))
+        plan = compile_step(h, native=True, noise=aria_noise_model())
+        with pytest.raises(ValueError, match="one step length per column"):
+            evolve_density(plan, np.zeros((4, 4, 3), complex), [0.1], n_steps=2)
 
     def test_native_step_with_y_and_three_site_terms(self, rng):
         h = QubitHamiltonian.from_terms(
