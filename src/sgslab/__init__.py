@@ -28,7 +28,6 @@ from .circuit_engine import (
     Gate,
     StateVector,
     adiabatic_circuit,
-    apply_gate,
     basis_change_circuit,
     circuit_unitary,
     compile_native,

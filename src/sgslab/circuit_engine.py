@@ -2,7 +2,7 @@
 
 Gates are either native (GPI2, RZ, MS) or convenience gates (H, X, CNOT,
 multi-qubit Pauli rotations) that compile exactly onto the native set, up
-to a global phase for H and X. First-order product-formula circuits,
+to a global phase for H, X and CNOT. First-order product-formula circuits,
 linear-schedule adiabatic interpolation, a dense matrix-exponential
 oracle, and shot sampling with the intrinsic +-1 measurement variance
 live here as well.
@@ -15,6 +15,7 @@ applies exp(-i theta P / 2) for the unit Pauli word P.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -101,48 +102,6 @@ def pauli_rotation(qubits, axes, angle: float) -> Gate:
     )
 
 
-def gate_matrix(g: Gate) -> np.ndarray:
-    """Dense unitary of one gate on its target qubits (first target is
-    the most significant bit of the local index)."""
-    if g.name == "GPI2":
-        (phi,) = g.angles
-        return np.array(
-            [[1.0, -1j * np.exp(-1j * phi)], [-1j * np.exp(1j * phi), 1.0]]
-        ) / math.sqrt(2.0)
-    if g.name == "RZ":
-        (theta,) = g.angles
-        return np.array(
-            [[np.exp(-1j * theta / 2), 0.0], [0.0, np.exp(1j * theta / 2)]]
-        )
-    if g.name == "H":
-        return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-    if g.name == "X":
-        return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    if g.name == "CNOT":
-        return np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-        )
-    if g.name == "MS":
-        phi0, phi1, theta = g.angles
-        c = math.cos(theta / 2)
-        s = math.sin(theta / 2)
-        return np.array(
-            [
-                [c, 0, 0, -1j * np.exp(-1j * (phi0 + phi1)) * s],
-                [0, c, -1j * np.exp(-1j * (phi0 - phi1)) * s, 0],
-                [0, -1j * np.exp(1j * (phi0 - phi1)) * s, c, 0],
-                [-1j * np.exp(1j * (phi0 + phi1)) * s, 0, 0, c],
-            ]
-        )
-    if g.name == "PROT":
-        (theta,) = g.angles
-        word = PauliString(len(g.qubits), g.axes)
-        dense = word.to_dense()
-        dim = dense.shape[0]
-        return math.cos(theta / 2) * np.eye(dim) - 1j * math.sin(theta / 2) * dense
-    raise ValueError(f"unknown gate {g.name!r}")
-
-
 @dataclass
 class CircuitMetadata:
     n_1q: int
@@ -215,10 +174,10 @@ class Circuit:
 # Exact identities used (verified by the dense-unitary tests):
 #   RX(t) = GPI2(pi/2) RZ(t) GPI2(-pi/2)
 #   RY(t) = GPI2(pi)   RZ(t) GPI2(0)
-#   H     = GPI2(pi/2) RZ(pi)            up to global phase -i
-#   X     = GPI2(0)^2                    up to global phase i
-#   CNOT  = RZ(pi/2)_c RX(pi/2)_t RY(-pi/2)_c MS(0,0,-pi/2) RY(pi/2)_c
-#           up to global phase exp(i pi/4)
+#   H     = i GPI2(pi/2) RZ(pi)
+#   X     = i GPI2(0)^2
+#   CNOT  = exp(i pi/4) RZ(pi/2)_c RX(pi/2)_t RY(-pi/2)_c MS(0,0,-pi/2) RY(pi/2)_c
+# The compiled gates drop the global phase; _DROPPED_PHASE keeps it.
 # Matrix products read right to left; gate lists below are in execution
 # order (first gate first).
 
@@ -321,20 +280,12 @@ class StateVector:
         return float(abs(np.vdot(np.asarray(amps), self.amplitudes)) ** 2)
 
 
-def _apply_unitary_tensor(
-    arr: np.ndarray, mat: np.ndarray, target_axes: tuple[int, ...]
-) -> np.ndarray:
-    """Contract a 2^k x 2^k matrix onto the given tensor axes of ``arr``."""
-    k = len(target_axes)
-    mat_t = mat.reshape((2,) * (2 * k))
-    out = np.tensordot(mat_t, arr, axes=(tuple(range(k, 2 * k)), target_axes))
-    return np.moveaxis(out, tuple(range(k)), target_axes)
-
-
 def _rotation_plan(qubits, axes, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """(src, -i factor) of a Pauli word on the whole register."""
     full_axes = [0] * num_qubits
     for q, a in zip(qubits, axes):
+        if not 0 <= q < num_qubits:
+            raise ValueError(f"gate targets qubit {q}, out of range for {num_qubits} qubits")
         full_axes[q] = a
     src, factor = pauli_plan(full_axes)
     return src, -1j * factor
@@ -344,9 +295,10 @@ def _rotate(amps: np.ndarray, src: np.ndarray, phase: np.ndarray, cos, sin) -> N
     """exp(-i theta P / 2) in place: amps <- cos amps + sin phase amps[src],
     where P v = factor v[src], phase = -i factor, cos/sin are of theta/2.
 
-    ``amps`` may be one state, or a (2^n, 2^n, T) density batch acted on
-    along its first axis with ``cos``/``sin`` one value per column; the
-    gather is the only temporary.
+    ``amps`` may be (2^n, T) state columns with ``phase`` as a column, or
+    a (2^n, 2^n, T) density batch acted on along its first axis; ``cos``/
+    ``sin`` are one scalar or one value per column. The gather is the
+    only temporary.
     """
     rotated = amps[src]
     rotated *= phase
@@ -355,44 +307,25 @@ def _rotate(amps: np.ndarray, src: np.ndarray, phase: np.ndarray, cos, sin) -> N
     amps += rotated
 
 
-def apply_gate(state: StateVector, g: Gate) -> StateVector:
-    """Apply one gate in place and return the state."""
-    n = state.num_qubits
-    if any(not 0 <= q < n for q in g.qubits):
-        raise ValueError(f"gate targets {g.qubits} out of range for {n} qubits")
-    if g.name == "PROT":
-        (theta,) = g.angles
-        src, phase = _rotation_plan(g.qubits, g.axes, n)
-        amps = state.amplitudes.copy()
-        _rotate(amps, src, phase, math.cos(theta / 2), math.sin(theta / 2))
-        state.amplitudes = amps
-        return state
-    mat = gate_matrix(g)
-    tensor = state.amplitudes.reshape((2,) * n)
-    tensor = _apply_unitary_tensor(tensor, mat, g.qubits)
-    state.amplitudes = tensor.reshape(-1)
-    return state
-
-
 def run_circuit(circuit: Circuit, state: StateVector | None = None) -> StateVector:
+    """Run ``circuit`` on ``state`` (|0...0> when None), each gate exactly
+    as its Pauli rotations (``_run_gates``); return the state with its
+    amplitudes replaced."""
     if state is None:
         state = StateVector.zero_state(circuit.num_qubits)
     elif state.num_qubits != circuit.num_qubits:
         raise ValueError("state/circuit qubit-count mismatch")
-    for g in circuit.gates:
-        apply_gate(state, g)
+    columns = state.amplitudes[:, None].copy()
+    state.amplitudes = _run_gates(circuit.gates, columns)[:, 0]
     return state
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of the whole circuit (oracle-sized registers only)."""
+    """Dense unitary of the whole circuit (oracle-sized registers only):
+    the circuit run on the identity's columns."""
     n = circuit.num_qubits
     check_oracle_size(n)
-    dim = 1 << n
-    arr = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    for g in circuit.gates:
-        arr = _apply_unitary_tensor(arr, gate_matrix(g), g.qubits)
-    return arr.reshape(dim, dim)
+    return _run_gates(circuit.gates, np.eye(1 << n, dtype=complex))
 
 
 # --- product formulas and schedules ---------------------------------------
@@ -511,8 +444,9 @@ def exact_evolve(state: StateVector, h: QubitHamiltonian, t: float) -> StateVect
 # --- precompiled Pauli-rotation kernel ---------------------------------------
 #
 # Every gate is a product of rotations exp(-i theta P / 2) about unit Pauli
-# words P, exactly or (H, X, CNOT, through compile_native) up to a global
-# phase. Identities used, matrix products read right to left:
+# words P, exactly or (H, X, CNOT, through compile_native) times the global
+# phase in _DROPPED_PHASE. Identities used, matrix products read right to
+# left:
 #   RZ(t)          = exp(-i t Z / 2)
 #   MS(0, 0, t)    = exp(-i t XX / 2)
 #   GPI2(0), GPI2(pi)          = rotations by pi/2, -pi/2 about X
@@ -527,9 +461,13 @@ _GPI2_ROTATIONS = {
     -math.pi / 2: (2, -math.pi / 2),
 }
 
+# The global phase of H, X and CNOT that their native compilation drops
+_DROPPED_PHASE = {"H": 1j, "X": 1j, "CNOT": cmath.exp(1j * math.pi / 4)}
+
 
 def _gate_rotations(g: Gate) -> list[tuple[tuple[int, ...], tuple[int, ...], float]]:
-    """``g`` as (qubits, axes, theta) rotations in execution order."""
+    """``g`` as (qubits, axes, theta) rotations in execution order; for H,
+    X and CNOT their product is the gate over ``_DROPPED_PHASE``."""
     if g.name == "PROT":
         return [(g.qubits, g.axes, g.angles[0])]
     if g.name == "RZ":
@@ -546,6 +484,20 @@ def _gate_rotations(g: Gate) -> list[tuple[tuple[int, ...], tuple[int, ...], flo
         unframe = [(q, a, -phi) for q, a, phi in frame]
         return unframe + [(g.qubits, (1, 1), theta)] + frame
     return [r for sub in _compile_gate(g) for r in _gate_rotations(sub)]
+
+
+def _run_gates(gates, columns: np.ndarray) -> np.ndarray:
+    """Apply a fixed gate list to every column of a (2^n, T) array, in
+    place, one Pauli rotation at a time; each gate is exact, the global
+    phase its compilation drops restored."""
+    n = columns.shape[0].bit_length() - 1
+    for g in gates:
+        for qubits, axes, theta in _gate_rotations(g):
+            src, phase = _rotation_plan(qubits, axes, n)
+            _rotate(columns, src, phase[:, None], math.cos(theta / 2), math.sin(theta / 2))
+        if g.name in _DROPPED_PHASE:
+            columns *= _DROPPED_PHASE[g.name]
+    return columns
 
 
 @dataclass(frozen=True)
@@ -570,7 +522,7 @@ class StepPlan:
 
         ``dts`` must hold one step length per column of a batch ``width``
         columns wide. The values go through ``math.cos``/``math.sin`` as in
-        ``apply_gate``, so a density batch, which applies the rotations
+        ``_run_gates``, so a density batch, which applies the rotations
         one by one, takes the same floating-point steps as the gate list.
         """
         dts = np.asarray(dts, dtype=float)
@@ -674,9 +626,9 @@ def evolve_columns(
     The step's rotations are fused once per call into flip-mask blocks
     (``_flip_mask_blocks``); each step then costs one gather, two
     multiplies and one add per block across all columns. This is the same
-    product as the gate list, regrouped, so it agrees with ``run_circuit``
-    to rounding (1e-12 in the tests), not bit for bit. The plan's noise
-    channels do not apply to pure states.
+    product of rotations that ``run_circuit`` applies one by one,
+    regrouped, so the two agree to rounding (1e-12 in the tests), not bit
+    for bit. The plan's noise channels do not apply to pure states.
     """
     cos, sin = plan.half_angle_trig(dts, columns.shape[-1])
     blocks = _flip_mask_blocks(plan, cos, sin)

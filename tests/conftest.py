@@ -1,7 +1,9 @@
 """Shared test helpers: an independent dense-matrix oracle built from
-literal 2x2 Pauli matrices (never from the package's own dense code),
-plus random-instance factories."""
+literal 2x2 Pauli matrices and written-out gate matrices (never from the
+package's own dense code or rotation kernel), plus random-instance
+factories."""
 
+import math
 import sys
 from functools import reduce
 from pathlib import Path
@@ -46,6 +48,62 @@ def dense_hamiltonian(h: QubitHamiltonian) -> np.ndarray:
     for axes, coeff in h.terms:
         out += coeff * dense_word("".join(AXIS_TO_CHAR[a] for a in axes))
     return out
+
+
+def gate_matrix(g) -> np.ndarray:
+    """Oracle: dense unitary of one gate on its target qubits, written out
+    from the gate definitions (first target is the most significant bit
+    of the local index)."""
+    if g.name == "GPI2":
+        (phi,) = g.angles
+        return np.array(
+            [[1.0, -1j * np.exp(-1j * phi)], [-1j * np.exp(1j * phi), 1.0]]
+        ) / math.sqrt(2.0)
+    if g.name == "RZ":
+        (theta,) = g.angles
+        return np.array(
+            [[np.exp(-1j * theta / 2), 0.0], [0.0, np.exp(1j * theta / 2)]]
+        )
+    if g.name == "H":
+        return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+    if g.name == "X":
+        return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    if g.name == "CNOT":
+        return np.array(
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+        )
+    if g.name == "MS":
+        phi0, phi1, theta = g.angles
+        c = math.cos(theta / 2)
+        s = math.sin(theta / 2)
+        return np.array(
+            [
+                [c, 0, 0, -1j * np.exp(-1j * (phi0 + phi1)) * s],
+                [0, c, -1j * np.exp(-1j * (phi0 - phi1)) * s, 0],
+                [0, -1j * np.exp(1j * (phi0 - phi1)) * s, c, 0],
+                [-1j * np.exp(1j * (phi0 + phi1)) * s, 0, 0, c],
+            ]
+        )
+    if g.name == "PROT":
+        (theta,) = g.angles
+        dense = dense_word("".join(AXIS_TO_CHAR[a] for a in g.axes))
+        dim = dense.shape[0]
+        return math.cos(theta / 2) * np.eye(dim) - 1j * math.sin(theta / 2) * dense
+    raise ValueError(f"unknown gate {g.name!r}")
+
+
+def dense_unitary(circuit) -> np.ndarray:
+    """Oracle: dense unitary of a circuit, each ``gate_matrix`` contracted
+    onto its target axes of the register tensor."""
+    n = circuit.num_qubits
+    dim = 1 << n
+    arr = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
+    for g in circuit.gates:
+        k = len(g.qubits)
+        mat = gate_matrix(g).reshape((2,) * (2 * k))
+        arr = np.tensordot(mat, arr, axes=(tuple(range(k, 2 * k)), g.qubits))
+        arr = np.moveaxis(arr, tuple(range(k)), g.qubits)
+    return arr.reshape(dim, dim)
 
 
 def random_pauli_string(rng, num_qubits, complex_coeff=False) -> PauliString:

@@ -8,25 +8,27 @@ from conftest import (
     DATA_DIR,
     dense_hamiltonian,
     dense_pauli,
+    dense_unitary,
     dense_word,
+    gate_matrix,
     random_hamiltonian,
     random_state,
 )
 
 from sgslab.circuit_engine import (
     _flip_mask_blocks,
+    _run_gates,
     Circuit,
     StateVector,
     adiabatic_circuit,
-    apply_gate,
     basis_change_circuit,
     circuit_unitary,
     cnot,
+    compile_gates,
     compile_native,
     compile_step,
     evolve_columns,
     exact_evolve,
-    gate_matrix,
     gpi2,
     hadamard,
     interpolated_hamiltonian,
@@ -92,20 +94,23 @@ class TestGateMatrices:
 
 
 class TestApplyGate:
+    GATES = [
+        gpi2(1, 0.7),
+        gpi2(0, -2.3),
+        gpi2(2, math.pi),
+        rz(2, -1.1),
+        ms(0, 2, 0.3, -0.2, 1.9),
+        hadamard(0),
+        pauli_x(2),
+        cnot(2, 0),
+        pauli_rotation((0, 1, 2), (1, 2, 3), 0.9),
+    ]
+
     def test_matches_dense_on_random_states(self, rng):
-        gates = [
-            gpi2(1, 0.7),
-            rz(2, -1.1),
-            ms(0, 2, 0.3, -0.2, 1.9),
-            hadamard(0),
-            pauli_x(2),
-            cnot(2, 0),
-            pauli_rotation((0, 1, 2), (1, 2, 3), 0.9),
-        ]
         n = 3
-        for gate in gates:
+        for gate in self.GATES:
             amps = random_state(rng, n)
-            got = apply_gate(StateVector(n, amps.copy()), gate).amplitudes
+            got = run_circuit(Circuit(n, [gate]), StateVector(n, amps.copy())).amplitudes
             # oracle: explicit kron embedding of the gate matrix
             mat = gate_matrix(gate)
             perm = list(gate.qubits) + [q for q in range(n) if q not in gate.qubits]
@@ -118,11 +123,30 @@ class TestApplyGate:
                 p_mat[jdx, idx] = 1.0
             want = p_mat.T @ big @ p_mat @ amps
             np.testing.assert_allclose(got, want, atol=1e-12)
+            # the unitary, global phase included
+            np.testing.assert_allclose(
+                circuit_unitary(Circuit(n, [gate])),
+                dense_unitary(Circuit(n, [gate])),
+                atol=1e-12,
+            )
+
+    def test_columns_match_one_column_runs(self, rng):
+        n = 3
+        start = np.column_stack([random_state(rng, n) for _ in range(3)])
+        columns = _run_gates(self.GATES, start.copy())
+        for k in range(3):
+            state = run_circuit(Circuit(n, self.GATES), StateVector(n, start[:, k].copy()))
+            np.testing.assert_array_equal(columns[:, k], state.amplitudes)
 
     def test_out_of_range_target(self):
-        state = StateVector.zero_state(2)
-        with pytest.raises(ValueError, match="range"):
-            apply_gate(state, rz(5, 0.1))
+        with pytest.raises(ValueError, match="register has 2 qubits"):
+            run_circuit(Circuit(2, [rz(5, 0.1)]))
+        # a gate slipped past Circuit's own check is caught by the kernel
+        for q in (-1, 2):
+            circuit = Circuit(2)
+            circuit.gates.append(rz(q, 0.1))
+            with pytest.raises(ValueError, match=f"qubit {q}, out of range for 2 qubits"):
+                run_circuit(circuit)
 
     def test_norm_preserved_long_random_circuit(self, rng):
         n = 4
@@ -151,7 +175,7 @@ class TestNativeCompilation:
         circuit = Circuit(n, [gate])
         native = compile_native(circuit)
         assert native.is_native()
-        assert equal_up_to_phase(circuit_unitary(native), circuit_unitary(circuit))
+        assert equal_up_to_phase(circuit_unitary(native), dense_unitary(circuit))
 
     def test_rotations_compile_exactly(self, rng):
         for axis in (1, 2, 3):
@@ -159,14 +183,14 @@ class TestNativeCompilation:
                 circuit = Circuit(1, [pauli_rotation((0,), (axis,), float(theta))])
                 native = compile_native(circuit)
                 np.testing.assert_allclose(
-                    circuit_unitary(native), circuit_unitary(circuit), atol=1e-12
+                    circuit_unitary(native), dense_unitary(circuit), atol=1e-12
                 )
 
     def test_multi_qubit_rotation_compiles(self, rng):
         circuit = Circuit(3, [pauli_rotation((0, 1, 2), (2, 1, 3), 0.77)])
         native = compile_native(circuit)
         assert native.is_native()
-        assert equal_up_to_phase(circuit_unitary(native), circuit_unitary(circuit))
+        assert equal_up_to_phase(circuit_unitary(native), dense_unitary(circuit))
 
 
 class TestTrotterStep:
@@ -204,7 +228,7 @@ class TestTrotterStep:
         native = trotter_step(h, 0.17, native=True)
         assert native.is_native()
         np.testing.assert_allclose(
-            circuit_unitary(native), circuit_unitary(ideal), atol=1e-12
+            circuit_unitary(native), dense_unitary(ideal), atol=1e-12
         )
 
     def test_ising_chain_entangling_depth(self):
@@ -282,7 +306,7 @@ class TestAdiabatic:
     def test_constant_schedule_equals_time_evolution(self):
         h = build_ising(IsingSpec.chain(3, 1.0, 1.4))
         got = circuit_unitary(adiabatic_circuit(h, h, 2.0, 6))
-        want = circuit_unitary(time_evolution_circuit(h, 2.0, 6))
+        want = dense_unitary(time_evolution_circuit(h, 2.0, 6))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_interpolated_hamiltonian(self):
@@ -426,6 +450,12 @@ class TestStepKernel:
         columns = evolve_columns(compile_step(h), start.copy(), dts, n_steps)
         np.testing.assert_allclose(columns, self.gate_loop(h, start, dts, n_steps), atol=1e-12)
 
+    @pytest.mark.parametrize("qubit", [-1, 3])
+    def test_compile_gates_rejects_out_of_range(self, qubit):
+        gates = [ms(0, 1, 0.0, 0.0, 0.3), gpi2(qubit, 0.0)]
+        with pytest.raises(ValueError, match=f"qubit {qubit}, out of range for 3 qubits"):
+            compile_gates(gates, gates, 3)
+
     @pytest.mark.parametrize("dts", [[0.1], [0.1, 0.2, 0.3, 0.4], 0.1],
                              ids=["too-few", "too-many", "scalar"])
     def test_rejects_dts_not_one_per_column(self, rng, dts):
@@ -446,7 +476,7 @@ class TestMeasurement:
     def test_basis_change_conjugation_reproduces_observable(self):
         o = PauliString.from_word("XYZ", -1.0)
         circuit = basis_change_circuit(o)
-        c_mat = circuit_unitary(circuit)
+        c_mat = dense_unitary(circuit)
         z_word = readout_word(o)
         got = c_mat.conj().T @ dense_pauli(z_word) @ c_mat
         np.testing.assert_allclose(got, dense_pauli(o), atol=1e-12)

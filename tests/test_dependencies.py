@@ -2,7 +2,9 @@
 dependency only (the oracle tests compare against it).
 
 The oracle solvers are numpy only (no scipy.sparse.linalg.eigsh) and the
-gap fit is a numpy variable projection (no scipy.optimize).
+gap fit is a numpy variable projection (no scipy.optimize). Every gate
+runs as Pauli rotations: the dense gate matrices and their tensor
+contraction are a test oracle (conftest), not a second simulator.
 """
 
 import ast
@@ -33,6 +35,26 @@ def test_no_scipy_outside_the_fit():
         for name in _scipy_imports(path)
     }
     assert found <= ALLOWED_SCIPY, sorted(found - ALLOWED_SCIPY)
+
+
+def _dense_gate_path(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.FunctionDef) and node.name == "gate_matrix":
+            yield "defines gate_matrix"
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name == "tensordot":
+                yield "calls tensordot"
+
+
+def test_one_gate_path():
+    found = {
+        (path.name, what)
+        for path in sorted((REPO_ROOT / "src" / "sgslab").glob("*.py"))
+        for what in _dense_gate_path(path)
+    }
+    assert not found, sorted(found)
 
 
 def test_cli_import_loads_no_scipy():

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import SIGMA, dense_pauli, kron_chain, random_state
+from conftest import SIGMA, dense_pauli, dense_unitary, kron_chain, random_state
 
 from sgslab.circuit_engine import (
     Circuit,
     StateVector,
-    circuit_unitary,
     cnot,
     compile_native,
     compile_step,
@@ -300,6 +299,13 @@ def test_gate_application_on_density_matches_pure(rng):
     )
 
 
+@pytest.mark.parametrize("qubit", [-1, 2])
+def test_gate_out_of_range_on_density(qubit):
+    # -1 would otherwise index the last qubit, 2 raise a bare IndexError
+    with pytest.raises(ValueError, match=f"qubit {qubit}, out of range for 2 qubits"):
+        apply_gate_density(DensityMatrix.zero_state(2), gpi2(qubit, 0.0))
+
+
 def test_density_expectation_matches_trace(rng):
     weights = rng.dirichlet(np.ones(3))
     pure = [random_state(rng, 3) for _ in weights]
@@ -334,7 +340,7 @@ def noisy_gate_loop(matrix, circuit, noise):
     """One dense U rho U^dag per gate, then its depolarizing channels."""
     n = circuit.num_qubits
     for g in circuit.gates:
-        u = circuit_unitary(Circuit(n, [g]))
+        u = dense_unitary(Circuit(n, [g]))
         matrix = u @ matrix @ u.conj().T
         p = noise.p_1q() if g.num_targets == 1 else noise.p_2q()
         for q in g.qubits:
@@ -366,7 +372,7 @@ class TestDensityKernel:
             "rz", "h", "x", "cnot", "prot-3site"])
     def test_gate_matches_conjugation(self, rng, gate):
         matrix = random_density(rng, 3)
-        u = circuit_unitary(Circuit(3, [gate]))
+        u = dense_unitary(Circuit(3, [gate]))
         rho = apply_gate_density(DensityMatrix(3, matrix.copy()), gate)
         np.testing.assert_allclose(rho.matrix, u @ matrix @ u.conj().T, atol=1e-14)
 
