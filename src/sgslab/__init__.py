@@ -40,7 +40,6 @@ from .circuit_engine import (
 from .noise_engine import (
     DensityMatrix,
     NoiseModel,
-    apply_depolarizing,
     aria_noise_model,
     depolarizing_param,
     run_noisy,

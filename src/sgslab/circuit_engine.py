@@ -295,10 +295,9 @@ def _rotate(amps: np.ndarray, src: np.ndarray, phase: np.ndarray, cos, sin) -> N
     """exp(-i theta P / 2) in place: amps <- cos amps + sin phase amps[src],
     where P v = factor v[src], phase = -i factor, cos/sin are of theta/2.
 
-    ``amps`` may be (2^n, T) state columns with ``phase`` as a column, or
-    a (2^n, 2^n, T) density batch acted on along its first axis; ``cos``/
-    ``sin`` are one scalar or one value per column. The gather is the
-    only temporary.
+    ``amps`` are (2^n, T) state columns with ``phase`` as a column;
+    ``cos``/``sin`` are one scalar or one value per column. The gather is
+    the only temporary.
     """
     rotated = amps[src]
     rotated *= phase
@@ -505,7 +504,9 @@ class StepPlan:
     """A gate sequence compiled once into Pauli rotations.
 
     Rotation r turns by ``slopes[r] * dt + intercepts[r]`` at step length
-    dt; ``plans[r]`` holds its gather index and phase (see ``_rotate``).
+    dt about the word ``words[r]``, given as (qubits, axes). ``plans[r]``
+    holds its statevector gather index and phase (see ``_rotate``); the
+    noise engine derives its Pauli-basis tables from ``words``.
     ``channels[r]`` is ``(targets, p)``, the depolarizing channels that
     follow rotation r: the last rotation of each gate carries the gate's
     targets when the plan's noise model gives it p > 0, every other
@@ -514,6 +515,7 @@ class StepPlan:
 
     slopes: np.ndarray
     intercepts: np.ndarray
+    words: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     plans: tuple[tuple[np.ndarray, np.ndarray], ...]
     channels: tuple[tuple[tuple[int, ...], float], ...]
 
@@ -522,8 +524,7 @@ class StepPlan:
 
         ``dts`` must hold one step length per column of a batch ``width``
         columns wide. The values go through ``math.cos``/``math.sin`` as in
-        ``_run_gates``, so a density batch, which applies the rotations
-        one by one, takes the same floating-point steps as the gate list.
+        ``_run_gates``.
         """
         dts = np.asarray(dts, dtype=float)
         if dts.shape != (width,):
@@ -544,23 +545,31 @@ def compile_gates(
     """Plan of a gate sequence whose angles are linear in the step length.
 
     ``at_one``/``at_zero`` are the sequence at dt = 1 and dt = 0 (pass the
-    same list twice for a fixed circuit); each rotation's slope and
-    intercept are read from them. With ``noise``, every gate is followed
-    by one depolarizing channel per target, with the model's one- or
-    two-qubit probability.
+    same list twice for a fixed circuit); each gate becomes its
+    ``_gate_rotations``, and each rotation's slope and intercept are read
+    from the two lists. With ``noise``, every gate is followed by one
+    depolarizing channel per target, with the model's one- or two-qubit
+    probability. The rotations leave out the global phase of H, X and
+    CNOT, which no density matrix or expectation value sees.
     """
     p1, p2 = (noise.p_1q(), noise.p_2q()) if noise is not None else (0.0, 0.0)
-    slopes, intercepts, plans, channels = [], [], [], []
+    slopes, intercepts, words, plans, channels = [], [], [], [], []
+    shared = {}  # one plan per distinct word
     for g1, g0 in zip(at_one, at_zero, strict=True):
         rotations = list(zip(_gate_rotations(g1), _gate_rotations(g0), strict=True))
         p = p1 if g1.num_targets == 1 else p2
         for k, ((qubits, axes, theta1), (_, _, theta0)) in enumerate(rotations):
             slopes.append(theta1 - theta0)
             intercepts.append(theta0)
-            plans.append(_rotation_plan(qubits, axes, num_qubits))
+            words.append((qubits, axes))
+            if (qubits, axes) not in shared:
+                shared[qubits, axes] = _rotation_plan(qubits, axes, num_qubits)
+            plans.append(shared[qubits, axes])
             last = k == len(rotations) - 1
             channels.append((g1.qubits, p) if last and p > 0.0 else ((), 0.0))
-    return StepPlan(np.array(slopes), np.array(intercepts), tuple(plans), tuple(channels))
+    return StepPlan(
+        np.array(slopes), np.array(intercepts), tuple(words), tuple(plans), tuple(channels)
+    )
 
 
 def compile_step(

@@ -21,16 +21,15 @@ from .circuit_engine import (
     ExpectationSample,
     StateVector,
     StepPlan,
-    _rotate,
-    basis_change_circuit,
     compile_gates,
     readout_word,
 )
-from .pauli_core import PauliString, pauli_plan
+from .pauli_core import _MUL_PHASE, _SIGMA, PauliString, pauli_plan
 
 DEFAULT_DENSITY_QUBIT_LIMIT = 8
-# Size of the (2^n, 2^n, T) batch of density columns a series evolves at
-# once: all 25 times of a 4-qubit study fit, 4 times at the 8-qubit limit.
+# Size of the (4^n, T) batch of Pauli columns, 4^n x 8 bytes each, that a
+# series evolves at once: all 25 times of a 4-qubit study fit, 8 times at
+# the 8-qubit limit.
 DENSITY_BATCH_BYTES = 4 << 20
 
 # Datasheet-style device defaults; gate fidelities have no universal
@@ -117,17 +116,6 @@ def aria_noise_model() -> NoiseModel:
     return NoiseModel(fidelity_1q=ARIA_FIDELITY_1Q, fidelity_2q=ARIA_FIDELITY_2Q)
 
 
-def noiseless_model() -> NoiseModel:
-    """Degenerate model: perfect gates, zero durations, clean readout."""
-    return NoiseModel(
-        fidelity_1q=1.0,
-        fidelity_2q=1.0,
-        t_gate_1q=0.0,
-        t_gate_2q=0.0,
-        readout_flip=0.0,
-    )
-
-
 @dataclass
 class DensityMatrix:
     num_qubits: int
@@ -164,64 +152,134 @@ class DensityMatrix:
         return float((o.phase_coeff * np.sum(factor * diagonal)).real)
 
 
-def _depolarize(batch: np.ndarray, qubit: int, p: float) -> None:
-    """(1 - p) rho + p (I/2 tensor Tr_q rho) in place on every column of a
-    (2^n, 2^n, T) batch, as index arithmetic: the (i, j) entries whose bit
-    q agrees gain (p / 2) (rho[i, j] + rho[i ^ bit, j ^ bit])."""
-    dim = batch.shape[0]
-    bit = dim >> (qubit + 1)
-    index = np.arange(dim)
-    flip = index ^ bit
-    mixed = batch[flip[:, None], flip]
-    mixed += batch
-    mixed *= np.where((index[:, None] ^ index) & bit, 0.0, p / 2.0)[:, :, None]
-    batch *= 1.0 - p
-    batch += mixed
+# --- the Pauli-transfer kernel -------------------------------------------
+#
+# A noisy state is held as its 4^n real Pauli coefficients r_w = Tr(sigma_w
+# rho), one column per state. Word w has base-4 digit a_q (0 = I, 1 = X,
+# 2 = Y, 3 = Z) for qubit q, qubit 0 the most significant digit, so the
+# product of two words is the XOR of their indices up to a phase i^k,
+# with k summed over sites from _PHASE_POWER.
+
+# _PHASE_POWER[a, b] = k with sigma_a sigma_b = i^k sigma_(a ^ b)
+_PHASE_POWER = np.array([[{1: 0, 1j: 1, -1j: 3}[ph] for ph in row] for row in _MUL_PHASE])
+# One qubit: r_a = sum_ij (sigma_a)_ji rho_ij over the digit 2 i + j of rho,
+# and back rho_ij = sum_a (sigma_a)_ij r_a / 2; every entry of either matrix
+# is 0, +-1 or +-i (halved), so each output is a sum of two exact terms.
+_TO_PAULI = np.array([s.T.ravel() for s in _SIGMA])
+_FROM_PAULI = np.array([s.ravel() for s in _SIGMA]).T / 2.0
 
 
-def evolve_density(plan: StepPlan, batch: np.ndarray, dts, n_steps: int = 1) -> np.ndarray:
-    """Advance column k of a (2^n, 2^n, T) density batch by ``n_steps``
-    steps of length ``dts[k]``, in place.
+def _per_qubit(x: np.ndarray, m: np.ndarray, num_qubits: int) -> np.ndarray:
+    """The 4x4 ``m`` applied to every base-4 digit of a length-4^n vector:
+    each pass transforms the leading digit and moves it last, so n passes
+    restore the order. ``einsum`` keeps these small products off BLAS,
+    whose first call alone grows the resident set by about 0.4 MB."""
+    for _ in range(num_qubits):
+        x = np.einsum("ab,bk->ka", m, x.reshape(4, -1))
+    return x.reshape(-1)
 
-    Each rotation U acts as U rho U^dag: ``_rotate`` on the rows, then on
-    the columns with the conjugate phase. The plan's depolarizing
-    channels follow the last rotation of their gate.
+
+def _interleave(num_qubits: int) -> list[int]:
+    """Axes of a (2,) * 2n density tensor, ordered (i_0, j_0, i_1, j_1, ...)."""
+    return [axis for q in range(num_qubits) for axis in (q, num_qubits + q)]
+
+
+def pauli_coefficients(matrix: np.ndarray) -> np.ndarray:
+    """The 4^n real coefficients r_w = Tr(sigma_w rho) of a density matrix."""
+    n = matrix.shape[0].bit_length() - 1
+    paired = matrix.reshape((2,) * (2 * n)).transpose(_interleave(n)).reshape(-1)
+    return _per_qubit(paired, _TO_PAULI, n).real.copy()
+
+
+def density_from_pauli(coeffs: np.ndarray) -> np.ndarray:
+    """rho = 2^-n sum_w r_w sigma_w from its 4^n Pauli coefficients."""
+    n = (coeffs.shape[0].bit_length() - 1) // 2
+    paired = _per_qubit(coeffs.astype(complex), _FROM_PAULI, n)
+    tensor = paired.reshape((2,) * (2 * n)).transpose(np.argsort(_interleave(n)))
+    return tensor.reshape(1 << n, 1 << n)
+
+
+def word_index(axes) -> int:
+    """Row of the Pauli word with these axes in a column of coefficients."""
+    index = 0
+    for a in axes:
+        index = 4 * index + a
+    return index
+
+
+def _rotation_table(qubits, axes, num_qubits: int):
+    """(anti, partner, eps) of exp(-i theta P / 2) in the Pauli basis.
+
+    ``anti`` lists the words that anticommute with P; each becomes
+    cos theta r_w + sin theta eps_w r_partner with partner = w P and
+    eps_w = +-1 the sign of -i sigma_w P. Every other word is unchanged.
     """
-    cos, sin = plan.half_angle_trig(dts, batch.shape[-1])
-    by_column = batch.transpose(1, 0, 2)
+    words = np.arange(4**num_qubits)
+    power = np.zeros(words.size, dtype=np.int64)
+    mask = 0
+    for q, a in zip(qubits, axes):
+        shift = 2 * (num_qubits - 1 - q)
+        power += _PHASE_POWER[(words >> shift) & 3, a]
+        mask |= a << shift
+    anti = np.flatnonzero(power & 1)
+    # sigma_w P = i^k sigma_(w P), so -i sigma_w P has sign +1 at k = 1, -1 at k = 3
+    eps = np.where(power[anti] & 2, -1.0, 1.0)[:, None]
+    return anti, anti ^ mask, eps
+
+
+def evolve_transfer(plan: StepPlan, columns: np.ndarray, dts, n_steps: int = 1) -> np.ndarray:
+    """Advance column k of a C-contiguous (4^n, T) array of Pauli
+    coefficients by ``n_steps`` steps of length ``dts[k]``, in place.
+
+    A rotation gathers the partners of its anticommuting words once
+    (``_rotation_table``, built once per distinct word). The depolarizing
+    channel on qubit q, (1 - p) rho + p (I/2 tensor Tr_q rho), scales the
+    words that are not the identity on q by (1 - p): one strided multiply
+    per target after the gate's last rotation.
+    """
+    if not columns.flags.c_contiguous:
+        raise ValueError("Pauli columns must be C-contiguous")
+    n = (columns.shape[0].bit_length() - 1) // 2
+    cos, sin = plan.half_angle_trig(dts, columns.shape[-1])
+    cos, sin = (cos - sin) * (cos + sin), 2.0 * cos * sin
+    tables = {word: _rotation_table(*word, n) for word in dict.fromkeys(plan.words)}
+    # non-identity digits of qubit q, as a view of the columns
+    off_identity = [columns.reshape(4**q, 4, -1)[:, 1:] for q in range(n)]
     for _ in range(n_steps):
-        for (src, phase), c, s, (targets, p) in zip(plan.plans, cos, sin, plan.channels):
-            _rotate(batch, src, phase[:, None, None], c, s)
-            _rotate(by_column, src, phase.conj()[:, None, None], c, s)
+        for word, c, s, (targets, p) in zip(plan.words, cos, sin, plan.channels):
+            anti, partner, eps = tables[word]
+            turned = np.take(columns, partner, axis=0)
+            turned *= eps
+            turned *= s
+            kept = np.take(columns, anti, axis=0)
+            kept *= c
+            kept += turned
+            columns[anti] = kept
             for q in targets:
-                _depolarize(batch, q, p)
-    return batch
+                off_identity[q] *= 1.0 - p
+    return columns
 
 
-def _evolve_fixed(rho: DensityMatrix, gates, noise: NoiseModel | None = None) -> DensityMatrix:
-    """Run a fixed gate list on ``rho`` as one T = 1 batch."""
-    plan = compile_gates(gates, gates, rho.num_qubits, noise)
-    rho.matrix = evolve_density(plan, rho.matrix[:, :, None].copy(), [0.0])[:, :, 0]
-    return rho
+def measurement_probs(columns: np.ndarray, o: PauliString) -> np.ndarray:
+    """(2^n, T) bitstring probabilities of every column measured in O's
+    basis (``basis_change_circuit``), from the (4^n, T) Pauli columns.
 
-
-def apply_gate_density(rho: DensityMatrix, g) -> DensityMatrix:
-    """U rho U^dag, through the gate's Pauli rotations."""
-    return _evolve_fixed(rho, [g])
-
-
-def apply_depolarizing(rho: DensityMatrix, qubit: int, p: float) -> DensityMatrix:
-    """(1 - p) rho + p (I/2 tensor Tr_q rho) on the target qubit."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing probability must be in [0, 1], got {p}")
-    if not 0 <= qubit < rho.num_qubits:
-        raise ValueError(f"qubit {qubit} out of range")
-    if p == 0.0:
-        return rho
-    batch = rho.matrix[:, :, None].copy()
-    _depolarize(batch, qubit, p)
-    rho.matrix = batch[:, :, 0]
-    return rho
+    The basis change C maps Z_q back to O's own axis on its X and Y sites
+    (C^dag Z C = X for H, Y for GPI2(0)) and leaves Z elsewhere. So P(b) is
+    2^-n sum_s (-1)^popcount(b & s) r_(w_s) over the 2^n words w_s with
+    that axis on the qubits of s: one Walsh-Hadamard transform, as n
+    butterfly passes that each fold the leading bit and move it last.
+    """
+    readout_word(o)  # rejects a non-Hermitian or non-unit O
+    n = o.num_qubits
+    words = np.zeros(1, dtype=np.intp)
+    for a in o.axes:  # qubit 0 ends as the most significant bit of s
+        words = (4 * words[:, None] + [0, a or 3]).ravel()
+    probs = columns[words]
+    for _ in range(n):
+        lead = probs.reshape(2, -1, columns.shape[-1])
+        probs = np.stack((lead[0] + lead[1], lead[0] - lead[1]), axis=1)
+    return probs.reshape(-1, columns.shape[-1]) / (1 << n)
 
 
 def run_noisy(
@@ -234,7 +292,9 @@ def run_noisy(
 
     Each 1-qubit gate is followed by one depolarizing channel on its
     target; each 2-qubit gate by one channel on each participant. Gates
-    on three or more qubits are rejected (compile to natives first).
+    on three or more qubits are rejected (compile to natives first). The
+    circuit runs in the Pauli basis (``evolve_transfer``); ``initial`` is
+    updated in place and returned.
     """
     if circuit.num_qubits > max_qubits:
         raise ValueError(
@@ -250,7 +310,40 @@ def run_noisy(
                 f"gate {g.name} acts on {g.num_targets} qubits; run_noisy needs "
                 "a native-compiled circuit"
             )
-    return _evolve_fixed(rho, circuit.gates, noise)
+    plan = compile_gates(circuit.gates, circuit.gates, rho.num_qubits, noise)
+    columns = pauli_coefficients(rho.matrix)[:, None]
+    evolve_transfer(plan, columns, [0.0])
+    rho.matrix = density_from_pauli(columns[:, 0])
+    return rho
+
+
+def _sample_parity(
+    probs: np.ndarray, o: PauliString, shots: int, readout_flip: float, seed
+) -> ExpectationSample:
+    """Draw ``shots`` bitstrings from ``probs``, the distribution in O's
+    measurement basis; flip each measured bit with probability
+    ``readout_flip`` and count the +1 outcomes of O's signed parity."""
+    probs = np.clip(probs, 0.0, None)
+    total = probs.sum()
+    if total <= 0:
+        raise ValueError("density matrix has no positive diagonal weight")
+    probs = probs / total
+
+    word = readout_word(o)
+    n = o.num_qubits
+    measured = [q for q, a in enumerate(word.axes) if a == 3]
+    zmask = sum(1 << (n - 1 - q) for q in measured)
+    odd_parity = (np.bitwise_count(np.arange(probs.size) & zmask) & 1).astype(bool)
+
+    rng = default_rng(seed)
+    odd = odd_parity[rng.choice(probs.size, size=shots, p=probs)]
+    if measured and readout_flip > 0.0:
+        flips = rng.random((shots, len(measured))) < readout_flip
+        # one row per measured qubit, so the reduce runs along whole rows
+        odd ^= np.logical_xor.reduce(np.ascontiguousarray(flips.T))
+    n_odd = int(np.count_nonzero(odd))
+    n_plus = shots - n_odd if word.phase_coeff.real > 0 else n_odd
+    return ExpectationSample.from_plus_count(n_plus, shots)
 
 
 def sample_expectation_noisy(
@@ -262,37 +355,16 @@ def sample_expectation_noisy(
 ) -> ExpectationSample:
     """Shot sampling from a density matrix with imperfect readout.
 
-    The state is rotated into the measurement basis of O, bitstrings are
-    drawn from the diagonal, each measured qubit's bit flips independently
-    with probability ``readout_flip``, and the +-1 parity is recomputed.
+    Bitstrings are drawn from the state's distribution in the measurement
+    basis of O (``measurement_probs``), each measured qubit's bit flips
+    independently with probability ``readout_flip``, and the +-1 parity is
+    recomputed (``_sample_parity``).
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if not 0.0 <= readout_flip <= 1.0:
         raise ValueError("readout_flip must be a probability")
-    n = rho.num_qubits
-    if o.num_qubits != n:
+    if o.num_qubits != rho.num_qubits:
         raise ValueError("observable qubit-count mismatch")
-    rotated = _evolve_fixed(rho.copy(), basis_change_circuit(o).gates)
-    probs = np.clip(np.diag(rotated.matrix).real, 0.0, None)
-    total = probs.sum()
-    if total <= 0:
-        raise ValueError("density matrix has no positive diagonal weight")
-    probs = probs / total
-
-    word = readout_word(o)
-    sign = 1.0 if word.phase_coeff.real > 0 else -1.0
-    measured = [q for q, a in enumerate(word.axes) if a == 3]
-    zmask = 0
-    for q in measured:
-        zmask |= 1 << (n - 1 - q)
-
-    rng = default_rng(seed)
-    samples = rng.choice(probs.shape[0], size=shots, p=probs).astype(np.uint64)
-    parity = (np.bitwise_count(samples & np.uint64(zmask)) & 1).astype(np.int64)
-    if measured and readout_flip > 0.0:
-        flips = rng.random((shots, len(measured))) < readout_flip
-        parity ^= flips.sum(axis=1) & 1
-    outcomes = sign * np.where(parity == 1, -1.0, 1.0)
-    n_plus = int(np.count_nonzero(outcomes > 0))
-    return ExpectationSample.from_plus_count(n_plus, shots)
+    columns = pauli_coefficients(rho.matrix)[:, None]
+    return _sample_parity(measurement_probs(columns, o)[:, 0], o, shots, readout_flip, seed)

@@ -36,9 +36,12 @@ from .noise_engine import (
     DENSITY_BATCH_BYTES,
     DensityMatrix,
     NoiseModel,
-    evolve_density,
+    _sample_parity,
+    evolve_transfer,
+    measurement_probs,
+    pauli_coefficients,
     run_noisy,
-    sample_expectation_noisy,
+    word_index,
 )
 from .pauli_core import PauliString, QubitHamiltonian, diagonal_energies
 
@@ -345,42 +348,57 @@ def _measure_series(
     by the window pilot). Every time gets its own column, advanced by
     evo_steps equal steps of the precompiled step: statevector (2^n, T)
     columns all at once on ``clean_plan`` (``compile_step(h)``, compiled
-    here when None), density (2^n, 2^n, T) columns in blocks of at most
-    ``DENSITY_BATCH_BYTES`` on the native step with each native gate's
-    depolarizing channels.
+    here when None); a noisy series runs ``_measure_noisy_series``.
     """
-    noisy = isinstance(prefix, DensityMatrix)
-    if noisy:
-        plan = compile_step(h, native=True, noise=cfg.noise)
-        start, evolve, wrap = prefix.matrix, evolve_density, DensityMatrix
-        block = max(1, DENSITY_BATCH_BYTES // start.nbytes)
-    else:
-        plan = clean_plan if clean_plan is not None else compile_step(h)
-        start, evolve, wrap = prefix.amplitudes, evolve_columns, StateVector
-        block = len(times)
+    if isinstance(prefix, DensityMatrix):
+        return _measure_noisy_series(h, o, prefix, times, cfg, shots)
+    plan = clean_plan if clean_plan is not None else compile_step(h)
+    columns = np.repeat(prefix.amplitudes[:, None], len(times), axis=1)
+    evolve_columns(plan, columns, times / cfg.evo_steps, cfg.evo_steps)
+    values = np.empty(len(times))
+    sigmas = np.zeros(len(times))
+    for k in range(len(times)):
+        state = StateVector(h.num_qubits, columns[:, k])
+        if shots is None:
+            values[k] = state.expectation(o)
+        else:
+            sample = sample_expectation(state, o, shots, _point_seed(cfg.seed, k))
+            values[k], sigmas[k] = sample.mean, sample.std_error
+    return values, sigmas
+
+
+def _measure_noisy_series(
+    h: QubitHamiltonian,
+    o: PauliString,
+    prefix: DensityMatrix,
+    times: np.ndarray,
+    cfg: ExperimentConfig,
+    shots: int | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_measure_series`` under ``cfg.noise``: Pauli-basis (4^n, T)
+    columns (``evolve_transfer``) on the native step with each native
+    gate's depolarizing channels, in blocks of at most
+    ``DENSITY_BATCH_BYTES``. A block's measurement probabilities are taken
+    at once and the block is released before its columns are sampled."""
+    plan = compile_step(h, native=True, noise=cfg.noise)
+    start = pauli_coefficients(prefix.matrix)
+    block = max(1, DENSITY_BATCH_BYTES // start.nbytes)
     values = np.empty(len(times))
     sigmas = np.zeros(len(times))
     for lo in range(0, len(times), block):
         chunk = times[lo:lo + block]
-        batch = np.repeat(start[..., None], len(chunk), axis=-1)
-        evolve(plan, batch, chunk / cfg.evo_steps, cfg.evo_steps)
+        batch = np.repeat(start[:, None], len(chunk), axis=1)
+        evolve_transfer(plan, batch, chunk / cfg.evo_steps, cfg.evo_steps)
+        if shots is None:
+            values[lo:lo + len(chunk)] = (o.phase_coeff * batch[word_index(o.axes)]).real
+            continue
+        probs = measurement_probs(batch, o)
+        del batch
         for k in range(lo, lo + len(chunk)):
-            state = wrap(h.num_qubits, batch[..., k - lo])
-            values[k], sigmas[k] = _measure_state(state, o, cfg, shots, k)
+            seed = _point_seed(cfg.seed, k)
+            sample = _sample_parity(probs[:, k - lo], o, shots, cfg.noise.readout_flip, seed)
+            values[k], sigmas[k] = sample.mean, sample.std_error
     return values, sigmas
-
-
-def _measure_state(state, o: PauliString, cfg: ExperimentConfig, shots, k: int):
-    if shots is None:
-        return state.expectation(o), 0.0
-    seed = _point_seed(cfg.seed, k)
-    if isinstance(state, DensityMatrix):
-        sample = sample_expectation_noisy(
-            state, o, shots, cfg.noise.readout_flip, seed
-        )
-    else:
-        sample = sample_expectation(state, o, shots, seed)
-    return sample.mean, sample.std_error
 
 
 def auto_time_window(

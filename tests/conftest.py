@@ -106,6 +106,53 @@ def dense_unitary(circuit) -> np.ndarray:
     return arr.reshape(dim, dim)
 
 
+def noiseless_model():
+    """Perfect gates, zero durations, clean readout."""
+    from sgslab.noise_engine import NoiseModel
+
+    return NoiseModel(
+        fidelity_1q=1.0, fidelity_2q=1.0, t_gate_1q=0.0, t_gate_2q=0.0, readout_flip=0.0
+    )
+
+
+def apply_gate_density(rho, g):
+    """Oracle: U rho U^dag in place, with U the gate's ``dense_unitary``."""
+    from sgslab.circuit_engine import Circuit
+
+    u = dense_unitary(Circuit(rho.num_qubits, [g]))
+    rho.matrix = u @ rho.matrix @ u.conj().T
+    return rho
+
+
+def apply_depolarizing(rho, qubit, p):
+    """Oracle: (1 - p) rho + p (I/2 tensor Tr_q rho) in place, the partial
+    trace and the embedding done by reshaping rho into one axis per bit."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"depolarizing probability must be in [0, 1], got {p}")
+    n = rho.num_qubits
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit {qubit} out of range")
+    tensor = rho.matrix.reshape((2,) * (2 * n))
+    reduced = np.trace(tensor, axis1=qubit, axis2=n + qubit)
+    mixed = np.moveaxis(np.multiply.outer(np.eye(2) / 2.0, reduced), (0, 1), (qubit, n + qubit))
+    rho.matrix = ((1.0 - p) * tensor + p * mixed).reshape(rho.matrix.shape)
+    return rho
+
+
+def noisy_superoperator(matrix, circuit, noise):
+    """Oracle: each gate as a dense U rho U^dag, then one depolarizing
+    channel per target with the model's one- or two-qubit probability."""
+    from sgslab.noise_engine import DensityMatrix
+
+    rho = DensityMatrix(circuit.num_qubits, matrix.copy())
+    for g in circuit.gates:
+        apply_gate_density(rho, g)
+        p = noise.p_1q() if g.num_targets == 1 else noise.p_2q()
+        for q in g.qubits:
+            apply_depolarizing(rho, q, p)
+    return rho.matrix
+
+
 def random_pauli_string(rng, num_qubits, complex_coeff=False) -> PauliString:
     axes = tuple(int(a) for a in rng.integers(0, 4, size=num_qubits))
     if complex_coeff:

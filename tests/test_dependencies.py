@@ -4,7 +4,9 @@ dependency only (the oracle tests compare against it).
 The oracle solvers are numpy only (no scipy.sparse.linalg.eigsh) and the
 gap fit is a numpy variable projection (no scipy.optimize). Every gate
 runs as Pauli rotations: the dense gate matrices and their tensor
-contraction are a test oracle (conftest), not a second simulator.
+contraction are a test oracle (conftest), not a second simulator. Noisy
+states run in the Pauli-transfer basis, with no dense density kernel
+beside it.
 """
 
 import ast
@@ -53,6 +55,17 @@ def test_one_gate_path():
         (path.name, what)
         for path in sorted((REPO_ROOT / "src" / "sgslab").glob("*.py"))
         for what in _dense_gate_path(path)
+    }
+    assert not found, sorted(found)
+
+
+def test_one_density_kernel():
+    # noisy states run in the Pauli basis only; no dense density kernel
+    found = {
+        (path.name, node.name)
+        for path in sorted((REPO_ROOT / "src" / "sgslab").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name in ("_depolarize", "evolve_density")
     }
     assert not found, sorted(found)
 

@@ -1,14 +1,29 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
-from conftest import SIGMA, dense_pauli, dense_unitary, kron_chain, random_state
+from conftest import (
+    CONFIG_DIR,
+    SIGMA,
+    apply_depolarizing,
+    apply_gate_density,
+    dense_pauli,
+    dense_unitary,
+    dense_word,
+    kron_chain,
+    noiseless_model,
+    noisy_superoperator,
+    random_state,
+)
 
 from sgslab.circuit_engine import (
     Circuit,
     StateVector,
+    basis_change_circuit,
     cnot,
+    compile_gates,
     compile_native,
     compile_step,
     gpi2,
@@ -22,16 +37,17 @@ from sgslab.circuit_engine import (
     time_evolution_circuit,
     trotter_step,
 )
+from sgslab.cli import main
 from sgslab.hamiltonians import IsingSpec, build_ising
 from sgslab.noise_engine import (
     DensityMatrix,
     NoiseModel,
-    apply_depolarizing,
-    apply_gate_density,
     aria_noise_model,
+    density_from_pauli,
     depolarizing_param,
-    evolve_density,
-    noiseless_model,
+    evolve_transfer,
+    measurement_probs,
+    pauli_coefficients,
     run_noisy,
     sample_expectation_noisy,
 )
@@ -132,6 +148,8 @@ class TestNoiseModel:
 
 
 class TestDepolarizingChannel:
+    """The conftest channel oracle against hand arithmetic."""
+
     def test_zero_probability_is_identity(self, rng):
         amps = random_state(rng, 2)
         rho = DensityMatrix.from_pure(StateVector(2, amps))
@@ -292,7 +310,7 @@ def test_gate_application_on_density_matches_pure(rng):
     amps = random_state(rng, 2)
     rho = DensityMatrix.from_pure(StateVector(2, amps.copy()))
     gate = ms(0, 1, 0.2, -0.7, 1.1)
-    apply_gate_density(rho, gate)
+    run_noisy(Circuit(2, [gate]), noiseless_model(), initial=rho)
     pure = run_circuit(Circuit(2, [gate]), StateVector(2, amps.copy()))
     np.testing.assert_allclose(
         rho.matrix, np.outer(pure.amplitudes, pure.amplitudes.conj()), atol=1e-12
@@ -302,8 +320,10 @@ def test_gate_application_on_density_matches_pure(rng):
 @pytest.mark.parametrize("qubit", [-1, 2])
 def test_gate_out_of_range_on_density(qubit):
     # -1 would otherwise index the last qubit, 2 raise a bare IndexError
+    circuit = Circuit(2)
+    circuit.gates.append(gpi2(qubit, 0.0))  # past Circuit's own check
     with pytest.raises(ValueError, match=f"qubit {qubit}, out of range for 2 qubits"):
-        apply_gate_density(DensityMatrix.zero_state(2), gpi2(qubit, 0.0))
+        run_noisy(circuit, aria_noise_model())
 
 
 def test_density_expectation_matches_trace(rng):
@@ -317,7 +337,7 @@ def test_density_expectation_matches_trace(rng):
             assert rho.expectation(o) == pytest.approx(want, abs=1e-14)
 
 
-# --- the batched density kernel against a gate-by-gate dense oracle ---------
+# --- the Pauli-transfer kernel against a gate-by-gate dense oracle ---------
 
 
 def random_density(rng, num_qubits, rank=3):
@@ -336,26 +356,30 @@ def depolarize_oracle(matrix, num_qubits, qubit, p):
     return out
 
 
-def noisy_gate_loop(matrix, circuit, noise):
-    """One dense U rho U^dag per gate, then its depolarizing channels."""
-    n = circuit.num_qubits
-    for g in circuit.gates:
-        u = dense_unitary(Circuit(n, [g]))
-        matrix = u @ matrix @ u.conj().T
-        p = noise.p_1q() if g.num_targets == 1 else noise.p_2q()
-        for q in g.qubits:
-            matrix = depolarize_oracle(matrix, n, q, p)
-    return matrix
+def kernel_gates(matrix, gates, noise=None):
+    """A fixed gate list through the Pauli-transfer kernel on one column."""
+    n = matrix.shape[0].bit_length() - 1
+    columns = pauli_coefficients(matrix)[:, None]
+    evolve_transfer(compile_gates(gates, gates, n, noise), columns, [0.0])
+    return density_from_pauli(columns[:, 0])
+
+
+def one_qubit_model(p):
+    """Zero durations make p = 2 (1 - F): one-qubit gates depolarize by p."""
+    return NoiseModel(fidelity_1q=1.0 - p / 2.0, fidelity_2q=1.0, t_gate_1q=0.0, t_gate_2q=0.0)
 
 
 class TestDensityKernel:
     @pytest.mark.parametrize("qubit", [0, 1, 2])
     def test_depolarizing_matches_pauli_twirl(self, rng, qubit):
+        # the kernel's channel after an identity gate, and the conftest oracle
         matrix = random_density(rng, 3)
-        rho = apply_depolarizing(DensityMatrix(3, matrix.copy()), qubit, 0.3)
-        np.testing.assert_allclose(
-            rho.matrix, depolarize_oracle(matrix, 3, qubit, 0.3), atol=1e-15
-        )
+        noise = one_qubit_model(0.3)
+        want = depolarize_oracle(matrix, 3, qubit, noise.p_1q())
+        got = kernel_gates(matrix, [rz(qubit, 0.0)], noise)
+        np.testing.assert_allclose(got, want, atol=1e-15)
+        rho = apply_depolarizing(DensityMatrix(3, matrix.copy()), qubit, noise.p_1q())
+        np.testing.assert_allclose(rho.matrix, want, atol=1e-15)
 
     @pytest.mark.parametrize("gate", [
         gpi2(1, 0.37),
@@ -373,28 +397,47 @@ class TestDensityKernel:
     def test_gate_matches_conjugation(self, rng, gate):
         matrix = random_density(rng, 3)
         u = dense_unitary(Circuit(3, [gate]))
-        rho = apply_gate_density(DensityMatrix(3, matrix.copy()), gate)
-        np.testing.assert_allclose(rho.matrix, u @ matrix @ u.conj().T, atol=1e-14)
+        want = u @ matrix @ u.conj().T
+        np.testing.assert_allclose(kernel_gates(matrix, [gate]), want, atol=1e-14)
 
     def test_batch_equals_run_noisy(self, rng):
+        # run_noisy returns to the dense matrix after every step, the batch
+        # stays in the Pauli basis: equal to rounding
         h = build_ising(IsingSpec.chain(3, 1.0, 2.3))
         noise = aria_noise_model()
         dts = np.array([0.07, 0.21, 0.4])
         start = random_density(rng, 3)
-        batch = np.repeat(start[:, :, None], len(dts), axis=-1)
-        evolve_density(compile_step(h, native=True, noise=noise), batch, dts, n_steps=3)
+        batch = np.repeat(pauli_coefficients(start)[:, None], len(dts), axis=1)
+        evolve_transfer(compile_step(h, native=True, noise=noise), batch, dts, n_steps=3)
         for k, dt in enumerate(dts):
             rho = DensityMatrix(3, start.copy())
             for _ in range(3):
                 run_noisy(trotter_step(h, dt, native=True), noise, initial=rho)
-            np.testing.assert_array_equal(batch[:, :, k], rho.matrix)
+            np.testing.assert_allclose(density_from_pauli(batch[:, k]), rho.matrix, atol=1e-14)
+
+    def test_batch_equals_one_column_runs(self, rng):
+        h = QubitHamiltonian.from_terms(3, [("XXI", 0.8), ("IYZ", -0.5), ("ZIZ", 0.3)])
+        plan = compile_step(h, native=True, noise=NoiseModel(0.995, 0.97))
+        dts = np.array([0.05, 0.3, -0.2])
+        start = pauli_coefficients(random_density(rng, 3))
+        batch = np.repeat(start[:, None], len(dts), axis=1)
+        evolve_transfer(plan, batch, dts, n_steps=4)
+        for k, dt in enumerate(dts):
+            column = evolve_transfer(plan, start[:, None].copy(), [dt], n_steps=4)
+            np.testing.assert_array_equal(batch[:, k], column[:, 0])
 
     def test_rejects_dts_not_one_per_column(self):
         # one dt would otherwise be broadcast over every column
         h = build_ising(IsingSpec.chain(2, 1.0, 2.3))
         plan = compile_step(h, native=True, noise=aria_noise_model())
         with pytest.raises(ValueError, match="one step length per column"):
-            evolve_density(plan, np.zeros((4, 4, 3), complex), [0.1], n_steps=2)
+            evolve_transfer(plan, np.zeros((16, 3)), [0.1], n_steps=2)
+
+    def test_rejects_columns_it_cannot_view(self):
+        # a channel is a strided multiply on a view of the columns
+        plan = compile_gates([rz(0, 0.3)], [rz(0, 0.3)], 2, aria_noise_model())
+        with pytest.raises(ValueError, match="C-contiguous"):
+            evolve_transfer(plan, np.zeros((16, 4))[:, ::2], [0.0, 0.0])
 
     def test_native_step_with_y_and_three_site_terms(self, rng):
         h = QubitHamiltonian.from_terms(
@@ -405,13 +448,13 @@ class TestDensityKernel:
         assert {g.name for g in step.gates} == {"GPI2", "RZ", "MS"}
         dts = np.array([0.05, 0.3])
         start = random_density(rng, 3)
-        batch = np.repeat(start[:, :, None], len(dts), axis=-1)
-        evolve_density(compile_step(h, native=True, noise=noise), batch, dts, n_steps=2)
+        batch = np.repeat(pauli_coefficients(start)[:, None], len(dts), axis=1)
+        evolve_transfer(compile_step(h, native=True, noise=noise), batch, dts, n_steps=2)
         for k, dt in enumerate(dts):
             want = start
             for _ in range(2):
-                want = noisy_gate_loop(want, trotter_step(h, dt, native=True), noise)
-            np.testing.assert_allclose(batch[:, :, k], want, atol=1e-14)
+                want = noisy_superoperator(want, trotter_step(h, dt, native=True), noise)
+            np.testing.assert_allclose(density_from_pauli(batch[:, k]), want, atol=1e-14)
 
     def test_run_noisy_with_multi_rotation_gates(self, rng):
         # GPI2 off the axes, a phased MS, H and CNOT are several rotations
@@ -421,4 +464,68 @@ class TestDensityKernel:
         noise = NoiseModel(fidelity_1q=0.99, fidelity_2q=0.95)
         start = random_density(rng, 3)
         rho = run_noisy(circuit, noise, initial=DensityMatrix(3, start.copy()))
-        np.testing.assert_allclose(rho.matrix, noisy_gate_loop(start, circuit, noise), atol=1e-14)
+        np.testing.assert_allclose(
+            rho.matrix, noisy_superoperator(start, circuit, noise), atol=1e-14
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_run_noisy_matches_dense_superoperator(self, seed):
+        rng = np.random.default_rng(seed)
+        wide = Circuit(3, [pauli_rotation((0, 1, 2), (1, 2, 3), float(rng.normal()))])
+        circuit = Circuit(3, [
+            gpi2(2, float(rng.uniform(-math.pi, math.pi))),
+            ms(1, 0, float(rng.normal()), float(rng.normal()), float(rng.normal())),
+            rz(1, float(rng.normal())),
+        ]) + compile_native(wide)
+        noise = NoiseModel(fidelity_1q=0.97, fidelity_2q=0.9)
+        assert noise.p_1q() != noise.p_2q()
+        start = random_density(rng, 3)
+        rho = run_noisy(circuit, noise, initial=DensityMatrix(3, start.copy()))
+        np.testing.assert_allclose(
+            rho.matrix, noisy_superoperator(start, circuit, noise), atol=1e-12
+        )
+
+
+class TestPauliBasis:
+    def test_round_trip(self, rng):
+        for n in (1, 2, 3, 4):
+            matrix = random_density(rng, n)
+            np.testing.assert_allclose(
+                density_from_pauli(pauli_coefficients(matrix)), matrix, atol=1e-14
+            )
+
+    def test_coefficients_are_traces(self, rng):
+        matrix = random_density(rng, 3)
+        # qubit 0 the most significant base-4 digit of the word index
+        want = [np.trace(dense_word("".join(w)) @ matrix).real for w in product("IXYZ", repeat=3)]
+        np.testing.assert_allclose(pauli_coefficients(matrix), want, atol=1e-15)
+
+    @pytest.mark.parametrize("word, coeff", [
+        ("XYZ", 1.0), ("YIX", -1.0), ("IZI", 1.0), ("ZXY", -1.0), ("III", 1.0),
+    ])
+    def test_measurement_probs_match_basis_change(self, rng, word, coeff):
+        o = PauliString.from_word(word, coeff)
+        c = dense_unitary(basis_change_circuit(o))
+        matrices = [random_density(rng, 3) for _ in range(2)]
+        columns = np.column_stack([pauli_coefficients(m) for m in matrices])
+        probs = measurement_probs(columns, o)
+        for k, m in enumerate(matrices):
+            np.testing.assert_allclose(probs[:, k], np.diag(c @ m @ c.conj().T).real, atol=1e-15)
+
+
+# Recorded from the dense density-matrix engine this kernel replaced: the
+# n_plus count of each of the 25 times, h3/J1 = 7.257 of ising_1d_aria, seed 7.
+ARIA_7257_N_PLUS = [
+    4114, 4122, 4235, 4142, 4193, 4052, 4005, 4130, 4125, 4202, 4161, 4033, 3989,
+    4224, 4151, 4031, 4030, 4181, 4135, 4144, 3978, 4063, 4074, 4089, 4078,
+]
+
+
+def test_aria_point_counts_pinned(tmp_path):
+    text = (CONFIG_DIR / "ising_1d_aria.yaml").read_text()
+    config = tmp_path / "aria.yaml"
+    config.write_text(text.replace("sweep: [2.4, 2.8, 7.257]", "sweep: [7.257]"))
+    assert main(["ising", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "series_7.257.csv").read_text().split()[1:]
+    means = np.array([float(row.split(",")[1]) for row in rows])
+    assert list(np.rint((means + 1.0) * 8192 / 2).astype(int)) == ARIA_7257_N_PLUS

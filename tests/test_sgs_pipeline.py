@@ -532,7 +532,7 @@ class TestSeriesKernel:
 
 
     @pytest.mark.parametrize(
-        "batch_bytes", [None, 3 * 64 * 16], ids=["per_point", "per_point-blocks-of-3"]
+        "batch_bytes", [None, 3 * 4**3 * 8], ids=["per_point", "per_point-blocks-of-3"]
     )
     def test_noisy_matches_run_noisy_loop(self, rng, monkeypatch, batch_bytes):
         from conftest import random_state
@@ -550,7 +550,9 @@ class TestSeriesKernel:
             rho = prefix.copy()
             for dt in steps:
                 run_noisy(trotter_step(h, dt, native=True), noise, initial=rho)
-            assert values[k] == rho.expectation(o)
+            # run_noisy leaves the Pauli basis after every step, the series
+            # does not: equal to rounding
+            assert values[k] == pytest.approx(rho.expectation(o), abs=1e-14)
 
     def test_native_matches_gate_loop(self, rng):
         # GPI2- and CNOT-rich native steps on statevector columns
