@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .pauli_core import (
     PauliString,
     QubitHamiltonian,
-    add_term,
     diagonal_part,
     expectation,
     multiply,
@@ -31,10 +30,8 @@ from .circuit_engine import (
     basis_change_circuit,
     circuit_unitary,
     compile_native,
-    exact_evolve,
     run_circuit,
     sample_expectation,
-    time_evolution_circuit,
     trotter_step,
 )
 from .noise_engine import (

@@ -3,9 +3,8 @@
 Gates are either native (GPI2, RZ, MS) or convenience gates (H, X, CNOT,
 multi-qubit Pauli rotations) that compile exactly onto the native set, up
 to a global phase for H, X and CNOT. First-order product-formula circuits,
-linear-schedule adiabatic interpolation, a dense matrix-exponential
-oracle, and shot sampling with the intrinsic +-1 measurement variance
-live here as well.
+linear-schedule adiabatic interpolation, and shot sampling with the
+intrinsic +-1 measurement variance live here as well.
 
 Angle conventions: RZ(theta) = exp(-i theta Z / 2), GPI2(phi) is a pi/2
 rotation about the axis (cos phi, sin phi, 0) of the Bloch sphere, and
@@ -30,7 +29,6 @@ from .pauli_core import (
     expectation,
     pauli_plan,
 )
-from .spectra_oracle import exact_spectrum
 
 if TYPE_CHECKING:
     from .noise_engine import NoiseModel
@@ -381,21 +379,6 @@ def trotter_step(h: QubitHamiltonian, dt: float, native: bool = False) -> Circui
     return compile_native(circuit) if native else circuit
 
 
-def time_evolution_circuit(
-    h: QubitHamiltonian, t: float, n_steps: int, native: bool = False
-) -> Circuit:
-    """n_steps identical first-order steps approximating exp(-i H t)."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if t == 0.0:
-        return Circuit(h.num_qubits)
-    step = trotter_step(h, t / n_steps, native=native)
-    out = Circuit(h.num_qubits)
-    for _ in range(n_steps):
-        out.extend(step.gates)
-    return out
-
-
 def interpolated_hamiltonian(
     h0: QubitHamiltonian, h: QubitHamiltonian, s: float
 ) -> QubitHamiltonian:
@@ -403,6 +386,20 @@ def interpolated_hamiltonian(
     if h0.num_qubits != h.num_qubits:
         raise ValueError("qubit-count mismatch")
     return h0.scaled(1.0 - s) + h.scaled(s)
+
+
+def _adiabatic_schedule(
+    h0: QubitHamiltonian, h: QubitHamiltonian, tau: float, n_steps: int
+) -> tuple[list[QubitHamiltonian], float]:
+    """The interpolated Hamiltonian of every step of the linear schedule,
+    and the step length: step m of n runs at the midpoint fraction
+    s = (m - 1/2)/n for time tau/n."""
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    steps = [interpolated_hamiltonian(h0, h, (m - 0.5) / n_steps) for m in range(1, n_steps + 1)]
+    return steps, tau / n_steps
 
 
 def adiabatic_circuit(
@@ -417,27 +414,43 @@ def adiabatic_circuit(
     Step m of n applies one first-order step of the interpolated
     Hamiltonian at the midpoint fraction s = (m - 1/2)/n for time tau/n.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    steps, dt = _adiabatic_schedule(h0, h, tau, n_steps)
     out = Circuit(h.num_qubits)
-    dt = tau / n_steps
-    for m in range(1, n_steps + 1):
-        s = (m - 0.5) / n_steps
-        out.extend(trotter_step(interpolated_hamiltonian(h0, h, s), dt, native=native).gates)
+    for h_s in steps:
+        out.extend(trotter_step(h_s, dt, native=native).gates)
     return out
 
 
-def exact_evolve(state: StateVector, h: QubitHamiltonian, t: float) -> StateVector:
-    """exp(-i H t)|state> through the dense eigendecomposition (oracle)."""
-    if state.num_qubits != h.num_qubits:
-        raise ValueError("state/Hamiltonian qubit-count mismatch")
-    spectrum = exact_spectrum(h)
-    vectors = spectrum.eigenvectors
-    coeffs = vectors.conj().T @ state.amplitudes
-    coeffs = coeffs * np.exp(-1j * spectrum.eigenvalues * t)
-    return StateVector(state.num_qubits, vectors @ coeffs)
+def run_adiabatic(
+    h0: QubitHamiltonian,
+    h: QubitHamiltonian,
+    tau: float,
+    n_steps: int,
+    columns: np.ndarray,
+    reuse: StepPlan | None = None,
+) -> np.ndarray:
+    """Apply ``adiabatic_circuit(h0, h, tau, n_steps)`` to a (2^n, T)
+    array in place, straight from each step's ``trotter_term_order``.
+
+    No gate is built: each term is the rotation by 2 c dt that
+    ``trotter_step`` would write, applied as ``_run_gates`` applies it, so
+    the result is bit for bit that of ``run_circuit``. Each word takes its
+    plan from ``reuse`` when that holds the word, and otherwise derives it
+    once per call, for every step.
+    """
+    n = columns.shape[0].bit_length() - 1
+    plans = dict(zip(reuse.words, reuse.plans)) if reuse is not None else {}
+    steps, dt = _adiabatic_schedule(h0, h, tau, n_steps)
+    for h_s in steps:
+        for axes, coeff in trotter_term_order(h_s):
+            qubits = tuple(q for q, a in enumerate(axes) if a != 0)
+            word = (qubits, tuple(axes[q] for q in qubits))
+            if word not in plans:
+                plans[word] = _rotation_plan(*word, n)
+            src, phase = plans[word]
+            theta = 2.0 * coeff * dt
+            _rotate(columns, src, phase[:, None], math.cos(theta / 2), math.sin(theta / 2))
+    return columns
 
 
 # --- precompiled Pauli-rotation kernel ---------------------------------------

@@ -309,8 +309,8 @@ def _run_point(job) -> tuple[dict, TimeSeries | None]:
     step are prepared and compiled once, for the window pilot and the
     noiseless series."""
     study, cfg, (entry, h, h0, observable, prep) = job
-    clean_state = prepare_state(h, h0, replace(cfg, noise=None), prep)
     clean_plan = compile_step(h)
+    clean_state = prepare_state(h, h0, replace(cfg, noise=None), prep, clean_plan=clean_plan)
     if cfg.time_window is None:
         window = auto_time_window(
             h, h0, observable, cfg, initial_state=clean_state, clean_plan=clean_plan

@@ -31,6 +31,10 @@ DEFAULT_DENSITY_QUBIT_LIMIT = 8
 # series evolves at once: all 25 times of a 4-qubit study fit, 8 times at
 # the 8-qubit limit.
 DENSITY_BATCH_BYTES = 4 << 20
+# Shots per block of readout flips that _sample_parity draws at once:
+# 32 kB for four measured qubits, where one (shots, m) array of 8192 shots
+# would be 256 kB. The blocks draw the same stream as that one array.
+READOUT_FLIP_BLOCK = 1024
 
 # Datasheet-style device defaults; gate fidelities have no universal
 # value and must be chosen explicitly.
@@ -338,9 +342,12 @@ def _sample_parity(
     rng = default_rng(seed)
     odd = odd_parity[rng.choice(probs.size, size=shots, p=probs)]
     if measured and readout_flip > 0.0:
-        flips = rng.random((shots, len(measured))) < readout_flip
-        # one row per measured qubit, so the reduce runs along whole rows
-        odd ^= np.logical_xor.reduce(np.ascontiguousarray(flips.T))
+        # row blocks of the (shots, m) flips: the generator fills row-major,
+        # so the bits, and the counts, are those of the one whole array
+        for lo in range(0, shots, READOUT_FLIP_BLOCK):
+            flips = rng.random((min(READOUT_FLIP_BLOCK, shots - lo), len(measured))) < readout_flip
+            # one row per measured qubit, so the reduce runs along whole rows
+            odd[lo:lo + len(flips)] ^= np.logical_xor.reduce(np.ascontiguousarray(flips.T))
     n_odd = int(np.count_nonzero(odd))
     n_plus = shots - n_odd if word.phase_coeff.real > 0 else n_odd
     return ExpectationSample.from_plus_count(n_plus, shots)

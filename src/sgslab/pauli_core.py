@@ -341,17 +341,6 @@ class QubitHamiltonian:
         return f"QubitHamiltonian({self.num_qubits}q: {body})"
 
 
-def add_term(h: QubitHamiltonian, p: PauliString) -> QubitHamiltonian:
-    """Canonicalized sum H + p; p must carry a real coefficient."""
-    if p.num_qubits != h.num_qubits:
-        raise ValueError("qubit-count mismatch")
-    if abs(p.phase_coeff.imag) > HERMITICITY_TOL:
-        raise ValueError(
-            f"non-real coefficient {p.phase_coeff} would break Hermiticity"
-        )
-    return QubitHamiltonian(h.num_qubits, h.terms + ((p.axes, p.phase_coeff.real),))
-
-
 def diagonal_part(h: QubitHamiltonian) -> QubitHamiltonian:
     """Sub-sum of terms acting only with I and Z (the matrix diagonal)."""
     return QubitHamiltonian(

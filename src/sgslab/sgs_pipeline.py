@@ -29,6 +29,7 @@ from .circuit_engine import (
     evolve_columns,
     hadamard,
     pauli_x,
+    run_adiabatic,
     run_circuit,
     sample_expectation,
 )
@@ -52,8 +53,9 @@ DEFAULT_MAX_STEP_NORM = 4.0
 SIGMA_FLOOR = 1e-4
 # The fewest points the frequency search and the 4-parameter fit accept.
 MIN_FIT_POINTS = 5
-# Omegas per stacked solve in frequency_grid_search; keeps its temporaries
-# at a few hundred kB.
+# Omegas per block of frequency_grid_search; keeps its temporaries, the
+# (GRID_BLOCK, n) cos/sin table of the grid step among them, at a few
+# hundred kB.
 GRID_BLOCK = 256
 # Grid points per pi/T_window in frequency_grid_search; the same spacing is
 # the first bracket of a fit started from a caller's frequency hint.
@@ -312,11 +314,19 @@ def prepare_state(
     cfg: ExperimentConfig,
     prep: Circuit | None = None,
     initial_state: StateVector | None = None,
+    clean_plan: StepPlan | None = None,
 ) -> StateVector | DensityMatrix:
     """The state a series starts from: ``initial_state`` as given, or
     ``prep`` (inferred from H0 when None) followed by the thermalization.
-    A noisy ``cfg`` runs native gates under its noise model and returns a
-    DensityMatrix."""
+
+    Noiseless, ``prep`` runs through ``run_circuit`` and the thermalization
+    straight from each step's term list (``run_adiabatic``), bit for bit
+    the state of ``run_circuit`` on ``prep`` + ``adiabatic_circuit``; it
+    reuses the rotation plans of ``clean_plan`` (``compile_step(h)``) for
+    the words it shares with H. A noisy ``cfg`` runs the native
+    compilation of that circuit under its noise model and returns a
+    DensityMatrix.
+    """
     noisy = cfg.noise is not None
     if initial_state is not None:
         if initial_state.num_qubits != h.num_qubits:
@@ -327,9 +337,13 @@ def prepare_state(
     circuit = Circuit(h.num_qubits, list(prep.gates))
     if noisy:
         circuit = compile_native(circuit)
+        if cfg.therm_steps > 0:
+            circuit += adiabatic_circuit(h0, h, cfg.tau, cfg.therm_steps, native=True)
+        return run_noisy(circuit, cfg.noise)
+    state = run_circuit(circuit)
     if cfg.therm_steps > 0:
-        circuit += adiabatic_circuit(h0, h, cfg.tau, cfg.therm_steps, native=noisy)
-    return run_noisy(circuit, cfg.noise) if noisy else run_circuit(circuit)
+        run_adiabatic(h0, h, cfg.tau, cfg.therm_steps, state.amplitudes[:, None], clean_plan)
+    return state
 
 
 def _measure_series(
@@ -431,7 +445,7 @@ def auto_time_window(
 
     t_pilot = dt_max * cfg.evo_steps  # longest admissible window for the pilot
     pilot_cfg = replace(cfg, noise=None)
-    prefix = prepare_state(h, h0, pilot_cfg, prep, initial_state)
+    prefix = prepare_state(h, h0, pilot_cfg, prep, initial_state, clean_plan)
     pilot_times = chebyshev_times(cfg.evo_steps, 0.0, t_pilot)
     values, _ = _measure_series(h, o, prefix, pilot_times, pilot_cfg, None, clean_plan)
     pilot = TimeSeries(pilot_times, values, np.zeros_like(values))
@@ -471,7 +485,7 @@ def run_experiment(
     else:
         t_min, t_max = auto_time_window(h, h0, o, cfg, prep, initial_state, clean_plan)
     times = chebyshev_times(cfg.evo_steps, t_min, t_max)
-    prefix = prepare_state(h, h0, cfg, prep, initial_state)
+    prefix = prepare_state(h, h0, cfg, prep, initial_state, clean_plan)
     values, sigmas = _measure_series(h, o, prefix, times, cfg, cfg.shots, clean_plan)
     return TimeSeries(times, values, sigmas)
 
@@ -510,18 +524,10 @@ def _tone_fits(
     return design, gram, sol[..., 0], resid
 
 
-def _tone_residuals(
-    omegas: np.ndarray, times: np.ndarray, ones: np.ndarray, yw: np.ndarray
-) -> np.ndarray:
-    """The weighted residual |resid|^2 of every omega's ``_tone_fits``."""
-    *_, resid = _tone_fits(omegas, times, ones, yw)
-    return np.vecdot(resid, resid)
-
-
 def _profile(
     omegas: np.ndarray, times: np.ndarray, ones: np.ndarray, yw: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """The profile residual r(w) of ``_tone_residuals``, its first and
+    """The profile residual r(w) = |resid|^2 of ``_tone_fits``, its first and
     second derivatives in w, the coefficients and their derivative in w,
     at every omega.
 
@@ -542,6 +548,50 @@ def _profile(
     dsol = -np.linalg.solve(gram, u[..., None])[..., 0]
     curvature = 2.0 * (np.vecdot(m1, m1) + np.vecdot(m2, resid) + np.vecdot(u, dsol))
     return np.vecdot(resid, resid), 2.0 * np.vecdot(m1, resid), curvature, sol, dsol
+
+
+def _scan_residuals(
+    omegas: np.ndarray, times: np.ndarray, weights: np.ndarray, yw: np.ndarray
+) -> np.ndarray:
+    """The weighted residual |resid|^2 of the tone fit c + a cos(wt) +
+    b sin(wt) at every omega of the uniform grid ``omegas``; ``yw`` holds
+    the weighted values centred on the weighted constant.
+
+    The rows follow by angle addition in blocks of GRID_BLOCK omegas: row
+    k of every block is offset from the block's first omega by the grid's
+    own k-th step, so one cos/sin table of those offsets serves every
+    block, and each block takes the cos/sin of its first omega only.
+    Projecting the constant out of the weighted cos and sin columns leaves
+    a 2x2 normal-equation system per omega, solved in closed form.
+    """
+    centre = weights * weights / (weights @ weights)
+    phases = np.multiply.outer(omegas[:GRID_BLOCK] - omegas[0], times)
+    cos_k = np.cos(phases)
+    sin_k = np.sin(phases, out=phases)
+    residuals = np.empty(len(omegas))
+    for lo in range(0, len(omegas), GRID_BLOCK):
+        rows = min(GRID_BLOCK, len(omegas) - lo)
+        cos_b, sin_b = np.cos(omegas[lo] * times), np.sin(omegas[lo] * times)
+        cos = cos_k[:rows] * cos_b
+        cos -= sin_k[:rows] * sin_b
+        sin = sin_k[:rows] * cos_b
+        sin += cos_k[:rows] * sin_b
+        for col in (cos, sin):
+            col -= (col @ centre)[:, None]
+            col *= weights
+        cc, ss, cs = np.vecdot(cos, cos), np.vecdot(sin, sin), np.vecdot(cos, sin)
+        cy, sy = cos @ yw, sin @ yw
+        det = cc * ss - cs * cs
+        a = (ss * cy - cs * sy) / det
+        b = (cc * sy - cs * cy) / det
+        # the residual formed explicitly (y'y - b'x cancels on good fits),
+        # in the cos column's place
+        resid = cos
+        resid *= a[:, None]
+        resid += b[:, None] * sin
+        resid -= yw
+        residuals[lo:lo + rows] = np.vecdot(resid, resid)
+    return residuals
 
 
 def frequency_grid_search(
@@ -567,15 +617,12 @@ def frequency_grid_search(
     omega_hi = math.pi / float(np.min(np.diff(times)))
     domega = math.pi / (window * oversample)
     omegas = np.arange(omega_lo, omega_hi, domega)
-    ones = np.ones_like(times) * weights
+    # the constant-only fit: its weighted residual is the weighted values
+    # centred on the weighted constant
     yw = values * weights
-    residuals = np.concatenate([
-        _tone_residuals(omegas[lo:lo + GRID_BLOCK], times, ones, yw)
-        for lo in range(0, len(omegas), GRID_BLOCK)
-    ])
-
-    c_flat = float((ones @ yw) / (ones @ ones))
-    flat_residual = float(np.sum((c_flat * ones - yw) ** 2))
+    yw -= (weights @ yw) / (weights @ weights) * weights
+    flat_residual = float(yw @ yw)
+    residuals = _scan_residuals(omegas, times, weights, yw)
 
     interior = np.arange(1, len(omegas) - 1)
     is_min = (residuals[interior] <= residuals[interior - 1]) & (

@@ -344,14 +344,6 @@ def observable_search(
     return [SearchRecord(*row) for row in zip(words, rho, theta)]
 
 
-def top_tied_words(records: list[SearchRecord], rel_tol: float = 1e-9) -> set[str]:
-    """Words whose rho ties the maximum within a relative tolerance."""
-    if not records:
-        return set()
-    best = records[0].rho
-    return {r.word for r in records if r.rho >= best - rel_tol * max(best, 1.0)}
-
-
 def search_report_csv(records: list[SearchRecord]) -> str:
     lines = ["pauli_word,rho,theta"]
     lines += [f"{r.word},{r.rho:.17g},{r.theta:.17g}" for r in records]

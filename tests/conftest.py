@@ -153,6 +153,55 @@ def noisy_superoperator(matrix, circuit, noise):
     return rho.matrix
 
 
+def add_term(h: QubitHamiltonian, p: PauliString) -> QubitHamiltonian:
+    """Canonicalized sum H + p; p must carry a real coefficient."""
+    from sgslab.pauli_core import HERMITICITY_TOL
+
+    if p.num_qubits != h.num_qubits:
+        raise ValueError("qubit-count mismatch")
+    if abs(p.phase_coeff.imag) > HERMITICITY_TOL:
+        raise ValueError(
+            f"non-real coefficient {p.phase_coeff} would break Hermiticity"
+        )
+    return QubitHamiltonian(h.num_qubits, h.terms + ((p.axes, p.phase_coeff.real),))
+
+
+def time_evolution_circuit(h, t, n_steps, native=False):
+    """n_steps identical first-order steps approximating exp(-i H t)."""
+    from sgslab.circuit_engine import Circuit, trotter_step
+
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    if t == 0.0:
+        return Circuit(h.num_qubits)
+    step = trotter_step(h, t / n_steps, native=native)
+    out = Circuit(h.num_qubits)
+    for _ in range(n_steps):
+        out.extend(step.gates)
+    return out
+
+
+def exact_evolve(state, h, t):
+    """Oracle: exp(-i H t)|state> through the eigendecomposition of
+    ``dense_hamiltonian``."""
+    from sgslab.circuit_engine import StateVector
+
+    if state.num_qubits != h.num_qubits:
+        raise ValueError("state/Hamiltonian qubit-count mismatch")
+    energies, vectors = np.linalg.eigh(dense_hamiltonian(h))
+    coeffs = (vectors.conj().T @ state.amplitudes) * np.exp(-1j * energies * t)
+    return StateVector(state.num_qubits, vectors @ coeffs)
+
+
+def top_tied_words(records, rel_tol=1e-9) -> set[str]:
+    """Words of search records whose rho ties the maximum within a
+    relative tolerance."""
+    if not records:
+        return set()
+    best = records[0].rho
+    return {r.word for r in records if r.rho >= best - rel_tol * max(best, 1.0)}
+
+
 def random_pauli_string(rng, num_qubits, complex_coeff=False) -> PauliString:
     axes = tuple(int(a) for a in rng.integers(0, 4, size=num_qubits))
     if complex_coeff:

@@ -19,13 +19,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR, kron_chain, random_hamiltonian
+from conftest import (
+    DATA_DIR,
+    kron_chain,
+    random_hamiltonian,
+    time_evolution_circuit,
+    top_tied_words,
+)
 
 from sgslab.circuit_engine import (
     StateVector,
     adiabatic_circuit,
     run_circuit,
-    time_evolution_circuit,
 )
 from sgslab.cli import ising_observable, main, xstring_observable
 from sgslab.hamiltonians import (
@@ -52,7 +57,6 @@ from sgslab.spectra_oracle import (
     exact_spectrum,
     observable_search,
     sgs_closed_form,
-    top_tied_words,
 )
 
 SWEEP = [2.0, 2.4, 2.8, 3.2, 3.6]

@@ -10,9 +10,11 @@ from conftest import (
     dense_pauli,
     dense_unitary,
     dense_word,
+    exact_evolve,
     gate_matrix,
     random_hamiltonian,
     random_state,
+    time_evolution_circuit,
 )
 
 from sgslab.circuit_engine import (
@@ -28,7 +30,6 @@ from sgslab.circuit_engine import (
     compile_native,
     compile_step,
     evolve_columns,
-    exact_evolve,
     gpi2,
     hadamard,
     interpolated_hamiltonian,
@@ -39,7 +40,6 @@ from sgslab.circuit_engine import (
     run_circuit,
     rz,
     sample_expectation,
-    time_evolution_circuit,
     trotter_step,
     trotter_term_order,
 )

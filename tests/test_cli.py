@@ -613,3 +613,37 @@ class TestRunStudyScript:
         status, err = self.run("no_such_study")
         assert status == 2
         assert "no_such_study.yaml" in err
+
+
+# Recorded before the frequency scan built its rows by angle addition and
+# the noiseless thermalization ran straight from the term lists: the n_plus
+# count of each series time (8192 shots) and the fitted gap, seed 7, for
+# h3/J1 = 2.4 of ising_1d and for he2.
+NOISELESS_PINS = {
+    "ising_1d": ("series_2.4.csv", "1.3953258092976686", [
+        1758, 2029, 2812, 3908, 5316, 6277, 5913, 4309, 2116, 2011, 4791, 6591, 4822,
+        2096, 2136, 4827, 6653, 5289, 2892, 1862, 2226, 3228, 4173, 4864, 5153,
+    ]),
+    "he2": ("series_1.00.csv", "0.21164027480976505", [
+        7831, 7825, 7779, 7675, 7637, 7561, 7386, 7211, 6978, 6783, 6446, 6146, 5781,
+        5300, 4868, 4381, 4038, 3547, 3043, 2639, 2143, 1708, 1488, 1109, 835, 650,
+        487, 319, 259, 153, 117, 70, 61, 38, 32,
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOISELESS_PINS))
+def test_noiseless_point_pinned(tmp_path, name):
+    series_file, gap, n_plus = NOISELESS_PINS[name]
+    config = REPO_ROOT / "configs" / f"{name}.yaml"
+    if name == "ising_1d":
+        text = config.read_text()
+        config = tmp_path / "ising.yaml"
+        config.write_text(text.replace("sweep: [2.0, 2.4, 2.8, 3.2, 3.6]", "sweep: [2.4]"))
+    study = "ising" if name == "ising_1d" else "molecule"
+    assert main([study, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / series_file).read_text().split()[1:]
+    means = np.array([float(row.split(",")[1]) for row in rows])
+    assert list(np.rint((means + 1.0) * 8192 / 2).astype(int)) == n_plus
+    (point,) = json.loads((tmp_path / "out" / "result.json").read_text())["points"]
+    assert repr(point["fit"]["gap"]) == gap

@@ -16,6 +16,7 @@ from conftest import (
     noiseless_model,
     noisy_superoperator,
     random_state,
+    time_evolution_circuit,
 )
 
 from sgslab.circuit_engine import (
@@ -34,12 +35,12 @@ from sgslab.circuit_engine import (
     run_circuit,
     rz,
     sample_expectation,
-    time_evolution_circuit,
     trotter_step,
 )
 from sgslab.cli import main
 from sgslab.hamiltonians import IsingSpec, build_ising
 from sgslab.noise_engine import (
+    READOUT_FLIP_BLOCK,
     DensityMatrix,
     NoiseModel,
     aria_noise_model,
@@ -297,6 +298,21 @@ class TestNoisySampling:
         a = sample_expectation_noisy(rho, o, 1000, 0.01, seed=123)
         b = sample_expectation_noisy(rho, o, 1000, 0.01, seed=123)
         assert a == b
+
+    def test_flip_blocks_draw_the_one_array_stream(self, rng):
+        # shots not a multiple of the flip block; the oracle draws every
+        # flip as one (shots, m) array from the same generator
+        shots = 2 * READOUT_FLIP_BLOCK + 37
+        rho = DensityMatrix(3, random_density(rng, 3))
+        o = PauliString.from_word("XZY", -1.0)
+        got = sample_expectation_noisy(rho, o, shots, 0.2, seed=5)
+        probs = measurement_probs(pauli_coefficients(rho.matrix)[:, None], o)[:, 0]
+        probs = np.clip(probs, 0.0, None)
+        gen = np.random.default_rng(5)
+        bits = gen.choice(probs.size, size=shots, p=probs / probs.sum())
+        flips = gen.random((shots, 3)) < 0.2
+        odd = (np.bitwise_count(bits) + flips.sum(axis=1)) & 1
+        assert got.n_plus == int(np.count_nonzero(odd))  # O = -ZZZ after the basis change
 
     def test_sign_carrying_observable(self):
         rho = DensityMatrix.zero_state(1)

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_hamiltonian, dense_pauli, random_pauli_string, random_state
+from conftest import add_term, dense_hamiltonian, dense_pauli, random_pauli_string, random_state
 
 from sgslab.pauli_core import (
     PauliString,
     QubitHamiltonian,
-    add_term,
     apply_pauli,
     diagonal_energies,
     diagonal_part,

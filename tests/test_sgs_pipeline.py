@@ -1,21 +1,24 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_hamiltonian, lstsq_tone_fit
+from conftest import DATA_DIR, dense_hamiltonian, lstsq_tone_fit
 
-from sgslab import sgs_pipeline
+from sgslab import circuit_engine, sgs_pipeline
 from sgslab.circuit_engine import (
     StateVector,
+    adiabatic_circuit,
     compile_step,
     evolve_columns,
+    interpolated_hamiltonian,
     run_circuit,
     trotter_step,
 )
-from sgslab.hamiltonians import IsingSpec, build_ising, ising_auxiliary
+from sgslab.hamiltonians import IsingSpec, build_ising, ising_auxiliary, load_qubit_hamiltonian
 from sgslab.noise_engine import DensityMatrix, NoiseModel, aria_noise_model, run_noisy
 from sgslab.pauli_core import PauliString, QubitHamiltonian, diagonal_part
 from sgslab.sgs_pipeline import (
@@ -32,6 +35,7 @@ from sgslab.sgs_pipeline import (
     molecule_experiment_config,
     prepare_sgs0_basis_pair,
     prepare_sgs0_ising,
+    prepare_state,
     run_experiment,
     select_aux_pair,
 )
@@ -349,6 +353,33 @@ class TestGridSearch:
         np.testing.assert_array_equal(result.candidates, candidates)
         assert result.significant == significant
 
+    @staticmethod
+    def scan_case(case):
+        """A series of the given shape for ``test_blocks_match_lstsq``."""
+        if case == "under_one_block":  # shot-free: sigmas floored
+            return synthetic_series(0.1, 0.6, 1.7, 0.4, chebyshev_times(8, 0.0, 5.0))
+        if case == "two_whole_blocks":
+            # window 1 and smallest step 16/519.5: 16/step - 8 = 511.5 grid steps
+            times = np.array([0.0, 16.0 / 519.5, 0.3, 0.55, 0.8, 1.0])
+            return synthetic_series(-0.2, 0.5, 21.0, 1.1, times, sigma=0.02, seed=4)
+        times = chebyshev_times(25, 0.0, 9.0)
+        series = synthetic_series(0.3, 0.4, 2.2, 5.0, times)
+        rng = np.random.default_rng(8)
+        sigmas = rng.uniform(0.005, 0.05, size=times.shape)
+        return TimeSeries(times, series.values + sigmas * rng.normal(size=times.shape), sigmas)
+
+    @pytest.mark.parametrize("case", ["under_one_block", "two_whole_blocks", "unequal_sigmas"])
+    def test_blocks_match_lstsq(self, case):
+        series = self.scan_case(case)
+        omegas, residuals, candidates, significant = self.lstsq_scan(series)
+        result = frequency_grid_search(series)
+        np.testing.assert_array_equal(result.omegas, omegas)
+        blocks = len(omegas) / sgs_pipeline.GRID_BLOCK
+        assert {"under_one_block": blocks < 1, "two_whole_blocks": blocks == 2}.get(case, True)
+        np.testing.assert_allclose(result.residuals, residuals, rtol=1e-12)
+        np.testing.assert_array_equal(result.candidates, candidates)
+        assert result.significant == significant
+
 
 class TestFitGap:
     @pytest.mark.parametrize("hint", [math.nan, math.inf, 0.0, -1.3])
@@ -501,6 +532,74 @@ class TestRunExperiment:
         fit = fit_gap(series)
         gap = benchmark_gap(h, 0, 1)
         assert abs(fit.gap - gap) / gap < 0.05
+
+
+def preparation_case(case):
+    """(h, h0, cfg, prep) of one noiseless preparation."""
+    if case == "ising_2.4":
+        spec = IsingSpec.chain(4, 1.0, 2.4)
+        h, h0 = build_ising(spec), ising_auxiliary(spec)
+        return h, h0, ising_experiment_config(), prepare_sgs0_ising(4)
+    if case in ("h2", "he2"):
+        name = {"h2": "h2_r0735", "he2": "he2_r100"}[case]
+        h = load_qubit_hamiltonian(DATA_DIR / "molecules" / f"{name}.qubits.txt")
+        h0 = diagonal_part(h)
+        return h, h0, molecule_experiment_config(), prepare_sgs0_basis_pair(*select_aux_pair(h0))
+    if case == "h0_word_not_in_h":  # IYY and ZIZ are no words of the chain
+        h = build_ising(IsingSpec.chain(3, 1.0, 2.0))
+        h0 = QubitHamiltonian.from_terms(3, [("XXI", -1.0), ("IYY", 0.6), ("ZIZ", 0.3)])
+        return h, h0, ExperimentConfig(tau=2.0, therm_steps=4), prepare_sgs0_ising(3)
+    # ZZI runs from 0.8 to -0.8, so step 3 of 5 (s = 0.5) prunes it
+    h = QubitHamiltonian.from_terms(3, [("ZZI", -0.8), ("XII", 0.9), ("IXX", 0.5)])
+    h0 = QubitHamiltonian.from_terms(3, [("ZZI", 0.8), ("IIZ", -0.4)])
+    return h, h0, ExperimentConfig(tau=2.0, therm_steps=5), prepare_sgs0_basis_pair("000", "011")
+
+
+PREPARATION_CASES = ["ising_2.4", "h2", "he2", "h0_word_not_in_h", "pruned_at_midpoint"]
+
+
+class TestNoiselessPreparation:
+    """prepare_state against the circuit it runs without building."""
+
+    @pytest.mark.parametrize("with_plan", [True, False], ids=["clean_plan", "no_plan"])
+    @pytest.mark.parametrize("case", PREPARATION_CASES)
+    def test_bit_identical_to_circuit(self, case, with_plan):
+        h, h0, cfg, prep = preparation_case(case)
+        want = run_circuit(prep + adiabatic_circuit(h0, h, cfg.tau, cfg.therm_steps))
+        plan = compile_step(h) if with_plan else None
+        got = prepare_state(h, h0, cfg, prep, clean_plan=plan)
+        np.testing.assert_array_equal(got.amplitudes, want.amplitudes)
+
+    def test_pruned_case_drops_the_word_at_the_midpoint(self):
+        h, h0, cfg, _ = preparation_case("pruned_at_midpoint")
+        words = [
+            {axes for axes, _ in interpolated_hamiltonian(h0, h, (m - 0.5) / cfg.therm_steps)}
+            for m in range(1, cfg.therm_steps + 1)
+        ]
+        assert [(3, 3, 0) in w for w in words] == [True, True, False, True, True]
+
+    def test_builds_no_gates(self, monkeypatch):
+        h, h0, cfg, prep = preparation_case("ising_2.4")
+        plan = compile_step(h)
+        calls = []
+        for module, name in [
+            (circuit_engine, "adiabatic_circuit"),
+            (circuit_engine, "pauli_rotation"),
+            (sgs_pipeline, "adiabatic_circuit"),
+        ]:
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        prepare_state(h, h0, cfg, prep, clean_plan=plan)
+        prepare_state(h, h0, cfg, prep)
+        assert calls == []
+        # the noisy preparation still builds its circuit, so the counters count
+        prepare_state(h, h0, replace(cfg, noise=aria_noise_model()), prep)
+        assert "adiabatic_circuit" in calls and "pauli_rotation" in calls
 
 
 def reference_steps(times, cfg):

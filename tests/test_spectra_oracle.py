@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_hamiltonian, dense_pauli, random_hamiltonian, random_state
+from conftest import (
+    dense_hamiltonian,
+    dense_pauli,
+    random_hamiltonian,
+    random_state,
+    top_tied_words,
+)
 
 from sgslab.hamiltonians import IsingSpec, build_ising
 from sgslab.pauli_core import PauliString, QubitHamiltonian, apply_pauli
@@ -21,7 +27,6 @@ from sgslab.spectra_oracle import (
     pauli_transform,
     search_report_csv,
     sgs_closed_form,
-    top_tied_words,
 )
 
 
