@@ -23,10 +23,12 @@ import numpy as np
 from numpy.random import default_rng
 
 from .pauli_core import (
+    COEFF_PRUNE_TOL,
     PauliString,
     QubitHamiltonian,
     check_oracle_size,
     expectation,
+    expectations,
     pauli_plan,
 )
 
@@ -338,15 +340,20 @@ def trotter_term_order(h: QubitHamiltonian) -> list[tuple[tuple[int, ...], float
     layers (two per step on an even periodic chain), then the fields;
     this reorder leaves the step unitary intact.
     """
-    words = [tuple(a for a in axes if a != 0) for axes, _ in h.terms]
+    return _term_order(h.terms)
+
+
+def _term_order(terms) -> list[tuple[tuple[int, ...], float]]:
+    """``trotter_term_order`` of a canonical term list."""
+    words = [tuple(a for a in axes if a != 0) for axes, _ in terms]
     if (1, 1) not in words or any(w not in ((1, 1), (3,)) for w in words):
-        return [term for term, w in zip(h.terms, words) if w]
+        return [term for term, w in zip(terms, words) if w]
     couplings = {
         tuple(q for q, a in enumerate(term[0]) if a != 0): term
-        for term, w in zip(h.terms, words) if w == (1, 1)
+        for term, w in zip(terms, words) if w == (1, 1)
     }
     layered = [couplings[pair] for layer in _edge_layers(list(couplings)) for pair in layer]
-    return layered + [term for term, w in zip(h.terms, words) if w == (3,)]
+    return layered + [term for term, w in zip(terms, words) if w == (3,)]
 
 
 def _edge_layers(edges: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
@@ -388,17 +395,49 @@ def interpolated_hamiltonian(
     return h0.scaled(1.0 - s) + h.scaled(s)
 
 
-def _adiabatic_schedule(
-    h0: QubitHamiltonian, h: QubitHamiltonian, tau: float, n_steps: int
-) -> tuple[list[QubitHamiltonian], float]:
-    """The interpolated Hamiltonian of every step of the linear schedule,
-    and the step length: step m of n runs at the midpoint fraction
-    s = (m - 1/2)/n for time tau/n."""
+def _check_schedule(tau: float, n_steps: int) -> None:
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    steps = [interpolated_hamiltonian(h0, h, (m - 0.5) / n_steps) for m in range(1, n_steps + 1)]
+
+
+def _adiabatic_schedule(
+    h0: QubitHamiltonian, h: QubitHamiltonian, tau: float, n_steps: int
+) -> tuple[list[list[tuple[tuple[int, ...], float]]], float]:
+    """The ``trotter_term_order`` of every step of the linear schedule, and
+    the step length: step m of n runs at the midpoint fraction
+    s = (m - 1/2)/n for time tau/n.
+
+    The endpoint terms are merged once. Each step's coefficients are those
+    of ``interpolated_hamiltonian`` bit for bit: (0.0 + (1 - s) c0) + s c1,
+    summed as ``QubitHamiltonian`` merges terms, with each scaled part and
+    the sum pruned at ``COEFF_PRUNE_TOL``, in canonical order.
+    """
+    if h0.num_qubits != h.num_qubits:
+        raise ValueError("qubit-count mismatch")
+    _check_schedule(tau, n_steps)
+    ends = {axes: [c, None] for axes, c in h0.terms}
+    for axes, c in h.terms:
+        ends.setdefault(axes, [None, None])[1] = c
+    merged = sorted(ends.items())
+    # the term order depends only on a step's words: one permutation per set
+    orders: dict[tuple, list[int]] = {}
+    steps = []
+    for m in range(1, n_steps + 1):
+        s = (m - 0.5) / n_steps
+        terms = []
+        for axes, coeffs in merged:
+            total = 0.0
+            for factor, c in zip((1.0 - s, s), coeffs):
+                if c is not None and abs(part := 0.0 + factor * c) > COEFF_PRUNE_TOL:
+                    total += part
+            if abs(total) > COEFF_PRUNE_TOL:
+                terms.append((axes, total))
+        key = tuple(axes for axes, _ in terms)
+        if key not in orders:
+            orders[key] = [k for _, k in _term_order([(axes, k) for k, axes in enumerate(key)])]
+        steps.append([terms[k] for k in orders[key]])
     return steps, tau / n_steps
 
 
@@ -414,43 +453,12 @@ def adiabatic_circuit(
     Step m of n applies one first-order step of the interpolated
     Hamiltonian at the midpoint fraction s = (m - 1/2)/n for time tau/n.
     """
-    steps, dt = _adiabatic_schedule(h0, h, tau, n_steps)
+    _check_schedule(tau, n_steps)
     out = Circuit(h.num_qubits)
-    for h_s in steps:
-        out.extend(trotter_step(h_s, dt, native=native).gates)
+    for m in range(1, n_steps + 1):
+        h_s = interpolated_hamiltonian(h0, h, (m - 0.5) / n_steps)
+        out.extend(trotter_step(h_s, tau / n_steps, native=native).gates)
     return out
-
-
-def run_adiabatic(
-    h0: QubitHamiltonian,
-    h: QubitHamiltonian,
-    tau: float,
-    n_steps: int,
-    columns: np.ndarray,
-    reuse: StepPlan | None = None,
-) -> np.ndarray:
-    """Apply ``adiabatic_circuit(h0, h, tau, n_steps)`` to a (2^n, T)
-    array in place, straight from each step's ``trotter_term_order``.
-
-    No gate is built: each term is the rotation by 2 c dt that
-    ``trotter_step`` would write, applied as ``_run_gates`` applies it, so
-    the result is bit for bit that of ``run_circuit``. Each word takes its
-    plan from ``reuse`` when that holds the word, and otherwise derives it
-    once per call, for every step.
-    """
-    n = columns.shape[0].bit_length() - 1
-    plans = dict(zip(reuse.words, reuse.plans)) if reuse is not None else {}
-    steps, dt = _adiabatic_schedule(h0, h, tau, n_steps)
-    for h_s in steps:
-        for axes, coeff in trotter_term_order(h_s):
-            qubits = tuple(q for q, a in enumerate(axes) if a != 0)
-            word = (qubits, tuple(axes[q] for q in qubits))
-            if word not in plans:
-                plans[word] = _rotation_plan(*word, n)
-            src, phase = plans[word]
-            theta = 2.0 * coeff * dt
-            _rotate(columns, src, phase[:, None], math.cos(theta / 2), math.sin(theta / 2))
-    return columns
 
 
 # --- precompiled Pauli-rotation kernel ---------------------------------------
@@ -532,6 +540,16 @@ class StepPlan:
     plans: tuple[tuple[np.ndarray, np.ndarray], ...]
     channels: tuple[tuple[tuple[int, ...], float], ...]
 
+    def __add__(self, other: "StepPlan") -> "StepPlan":
+        """This plan's rotations, then those of ``other``."""
+        return StepPlan(
+            np.concatenate((self.slopes, other.slopes)),
+            np.concatenate((self.intercepts, other.intercepts)),
+            self.words + other.words,
+            self.plans + other.plans,
+            self.channels + other.channels,
+        )
+
     def half_angle_trig(self, dts, width: int) -> tuple[np.ndarray, np.ndarray]:
         """(cos, sin) of every rotation's half angle, one column per dt.
 
@@ -553,7 +571,7 @@ class StepPlan:
 
 
 def compile_gates(
-    at_one, at_zero, num_qubits: int, noise: NoiseModel | None = None
+    at_one, at_zero, num_qubits: int, noise: NoiseModel | None = None, shared=None
 ) -> StepPlan:
     """Plan of a gate sequence whose angles are linear in the step length.
 
@@ -563,11 +581,12 @@ def compile_gates(
     from the two lists. With ``noise``, every gate is followed by one
     depolarizing channel per target, with the model's one- or two-qubit
     probability. The rotations leave out the global phase of H, X and
-    CNOT, which no density matrix or expectation value sees.
+    CNOT, which no density matrix or expectation value sees. ``shared``
+    maps words to plans already derived; the new ones are added to it.
     """
     p1, p2 = (noise.p_1q(), noise.p_2q()) if noise is not None else (0.0, 0.0)
     slopes, intercepts, words, plans, channels = [], [], [], [], []
-    shared = {}  # one plan per distinct word
+    shared = {} if shared is None else shared  # one plan per distinct word
     for g1, g0 in zip(at_one, at_zero, strict=True):
         rotations = list(zip(_gate_rotations(g1), _gate_rotations(g0), strict=True))
         p = p1 if g1.num_targets == 1 else p2
@@ -595,6 +614,76 @@ def compile_step(
         h.num_qubits,
         noise,
     )
+
+
+def compile_adiabatic(
+    h0: QubitHamiltonian,
+    h: QubitHamiltonian,
+    tau: float,
+    n_steps: int,
+    native: bool = False,
+    noise: NoiseModel | None = None,
+    reuse: StepPlan | None = None,
+) -> StepPlan:
+    """Plan of ``adiabatic_circuit(h0, h, tau, n_steps, native)``, with the
+    depolarizing channels of ``compile_gates`` under ``noise``. Every slope
+    is 0: run it at dt = 0, where each rotation turns by its intercept.
+
+    It is built straight from each step's term order
+    (``_adiabatic_schedule``), with no gate per step. Each distinct word is
+    compiled once, as the PauliRotation gate that ``trotter_step`` writes
+    for it (through ``_compile_gate`` when ``native``); a term repeats that
+    word's rotations and channels, with its angle 2 c dt on the one
+    rotation that carries the gate's angle. So the plan is, rotation for
+    rotation, ``compile_gates`` of the circuit. Words in ``reuse`` take
+    their statevector plans from it.
+    """
+    steps, dt = _adiabatic_schedule(h0, h, tau, n_steps)
+    shared = dict(zip(reuse.words, reuse.plans)) if reuse is not None else {}
+    compiled: dict[tuple[int, ...], tuple[int, StepPlan]] = {}  # by the term's axes
+    intercepts, words, plans, channels = [], [], [], []
+    for terms in steps:
+        for axes, coeff in terms:
+            if axes not in compiled:
+                qubits = tuple(q for q, a in enumerate(axes) if a != 0)
+                sub_axes = tuple(axes[q] for q in qubits)
+                at = [Gate("PROT", qubits, (theta,), sub_axes) for theta in (1.0, 0.0)]
+                gates = [_compile_gate(g) if native else [g] for g in at]
+                part = compile_gates(*gates, h.num_qubits, noise, shared)
+                compiled[axes] = (int(np.flatnonzero(part.slopes)[0]), part)
+            k, part = compiled[axes]
+            angles = part.intercepts.tolist()
+            angles[k] = 2.0 * coeff * dt
+            intercepts += angles
+            words += part.words
+            plans += part.plans
+            channels += part.channels
+    return StepPlan(
+        np.zeros(len(intercepts)), np.array(intercepts), tuple(words), tuple(plans),
+        tuple(channels),
+    )
+
+
+def run_adiabatic(
+    h0: QubitHamiltonian,
+    h: QubitHamiltonian,
+    tau: float,
+    n_steps: int,
+    columns: np.ndarray,
+    reuse: StepPlan | None = None,
+) -> np.ndarray:
+    """Apply ``adiabatic_circuit(h0, h, tau, n_steps)`` to a (2^n, T)
+    array in place, one rotation of ``compile_adiabatic`` at a time.
+
+    No gate is built, and each rotation is applied as ``_run_gates``
+    applies it, so the result is bit for bit that of ``run_circuit``.
+    """
+    plan = compile_adiabatic(h0, h, tau, n_steps, reuse=reuse)
+    width = columns.shape[-1]
+    cos, sin = plan.half_angle_trig(np.zeros(width), width)
+    for (src, phase), c, s in zip(plan.plans, cos, sin):
+        _rotate(columns, src, phase[:, None], c, s)
+    return columns
 
 
 def _flip_mask_blocks(
@@ -726,11 +815,21 @@ def sample_expectation(
     unit Pauli word; outcomes follow the intrinsic binomial statistics
     with variance 1 - <O>^2 per shot.
     """
+    return sample_columns(state.amplitudes[:, None], o, shots, [seed])[0]
+
+
+def sample_columns(
+    columns: np.ndarray, o: PauliString, shots: int, seeds
+) -> list[ExpectationSample]:
+    """``sample_expectation`` of every column of a (2^n, T) array, column
+    k drawn with ``seeds[k]``; <O> of all columns comes from one plan
+    (``expectations``)."""
     _check_measurable(o)
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    value = expectation(o, state.amplitudes)
-    p_plus = min(max((1.0 + value) / 2.0, 0.0), 1.0)
-    rng = default_rng(seed)
-    n_plus = int(rng.binomial(shots, p_plus))
-    return ExpectationSample.from_plus_count(n_plus, shots)
+    samples = []
+    for value, seed in zip(expectations(o, columns), seeds, strict=True):
+        p_plus = min(max((1.0 + value) / 2.0, 0.0), 1.0)
+        n_plus = int(default_rng(seed).binomial(shots, p_plus))
+        samples.append(ExpectationSample.from_plus_count(n_plus, shots))
+    return samples

@@ -31,10 +31,12 @@ DEFAULT_DENSITY_QUBIT_LIMIT = 8
 # series evolves at once: all 25 times of a 4-qubit study fit, 8 times at
 # the 8-qubit limit.
 DENSITY_BATCH_BYTES = 4 << 20
-# Shots per block of readout flips that _sample_parity draws at once:
-# 32 kB for four measured qubits, where one (shots, m) array of 8192 shots
-# would be 256 kB. The blocks draw the same stream as that one array.
-READOUT_FLIP_BLOCK = 1024
+# Most shots per block of readout flips that _sample_parity draws at once.
+# A block refills the buffer of the shots' uniforms, so it takes no memory
+# of its own beyond one bool per shot; an 8192-shot series of a one-site
+# observable draws its flips in one block. The blocks draw the same stream
+# as one (shots, m) array.
+READOUT_FLIP_BLOCK = 8192
 
 # Datasheet-style device defaults; gate fidelities have no universal
 # value and must be chosen explicitly.
@@ -297,24 +299,43 @@ def run_noisy(
     Each 1-qubit gate is followed by one depolarizing channel on its
     target; each 2-qubit gate by one channel on each participant. Gates
     on three or more qubits are rejected (compile to natives first). The
-    circuit runs in the Pauli basis (``evolve_transfer``); ``initial`` is
-    updated in place and returned.
+    circuit runs as one plan (``run_noisy_plan``); ``initial`` is updated
+    in place and returned.
     """
-    if circuit.num_qubits > max_qubits:
-        raise ValueError(
-            f"density-matrix simulation limited to {max_qubits} qubits "
-            f"(circuit has {circuit.num_qubits}); memory grows as 4^n"
-        )
-    rho = DensityMatrix.zero_state(circuit.num_qubits) if initial is None else initial
-    if rho.num_qubits != circuit.num_qubits:
-        raise ValueError("initial state qubit-count mismatch")
+    check_density_size(circuit.num_qubits, max_qubits)
     for g in circuit.gates:
         if g.num_targets > 2:
             raise ValueError(
                 f"gate {g.name} acts on {g.num_targets} qubits; run_noisy needs "
                 "a native-compiled circuit"
             )
-    plan = compile_gates(circuit.gates, circuit.gates, rho.num_qubits, noise)
+    plan = compile_gates(circuit.gates, circuit.gates, circuit.num_qubits, noise)
+    return run_noisy_plan(plan, circuit.num_qubits, initial, max_qubits)
+
+
+def check_density_size(num_qubits: int, max_qubits: int = DEFAULT_DENSITY_QUBIT_LIMIT) -> None:
+    """Refuse a density matrix over more than ``max_qubits`` qubits."""
+    if num_qubits > max_qubits:
+        raise ValueError(
+            f"density-matrix simulation limited to {max_qubits} qubits "
+            f"(circuit has {num_qubits}); memory grows as 4^n"
+        )
+
+
+def run_noisy_plan(
+    plan: StepPlan,
+    num_qubits: int,
+    initial: DensityMatrix | None = None,
+    max_qubits: int = DEFAULT_DENSITY_QUBIT_LIMIT,
+) -> DensityMatrix:
+    """Run a plan of fixed angles (every slope 0, as ``compile_gates``
+    gives for a fixed circuit, with its noise channels) on ``initial``
+    (|0...0> when None) in the Pauli basis (``evolve_transfer`` at dt = 0);
+    ``initial`` is updated in place and returned."""
+    check_density_size(num_qubits, max_qubits)
+    rho = DensityMatrix.zero_state(num_qubits) if initial is None else initial
+    if rho.num_qubits != num_qubits:
+        raise ValueError("initial state qubit-count mismatch")
     columns = pauli_coefficients(rho.matrix)[:, None]
     evolve_transfer(plan, columns, [0.0])
     rho.matrix = density_from_pauli(columns[:, 0])
@@ -326,12 +347,27 @@ def _sample_parity(
 ) -> ExpectationSample:
     """Draw ``shots`` bitstrings from ``probs``, the distribution in O's
     measurement basis; flip each measured bit with probability
-    ``readout_flip`` and count the +1 outcomes of O's signed parity."""
+    ``readout_flip`` and count the +1 outcomes of O's signed parity.
+
+    The draws are those of ``Generator.choice(probs.size, shots, p=probs)``
+    followed by one (shots, m) array of uniforms for the m measured bits,
+    without building either. ``choice`` draws u = ``random(shots)`` and
+    returns the count of k with cdf[k] <= u. Only the parity of that
+    outcome is kept, and it changes only where the parity of k + 1 differs
+    from that of k, so each shot's parity is the first outcome's parity
+    XOR ``u >= cdf[k]`` at those k: one compare for the single-site
+    observable. The readout flips then refill u's buffer in row blocks of
+    the one (shots, m) array, which the generator fills row-major.
+    """
+    if not np.isfinite(probs).all():
+        raise ValueError("measurement probabilities must be finite")
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
     if total <= 0:
         raise ValueError("density matrix has no positive diagonal weight")
     probs = probs / total
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
 
     word = readout_word(o)
     n = o.num_qubits
@@ -340,14 +376,19 @@ def _sample_parity(
     odd_parity = (np.bitwise_count(np.arange(probs.size) & zmask) & 1).astype(bool)
 
     rng = default_rng(seed)
-    odd = odd_parity[rng.choice(probs.size, size=shots, p=probs)]
-    if measured and readout_flip > 0.0:
-        # row blocks of the (shots, m) flips: the generator fills row-major,
-        # so the bits, and the counts, are those of the one whole array
-        for lo in range(0, shots, READOUT_FLIP_BLOCK):
-            flips = rng.random((min(READOUT_FLIP_BLOCK, shots - lo), len(measured))) < readout_flip
-            # one row per measured qubit, so the reduce runs along whole rows
-            odd[lo:lo + len(flips)] ^= np.logical_xor.reduce(np.ascontiguousarray(flips.T))
+    u = rng.random(shots)
+    odd = np.full(shots, odd_parity[0])
+    for threshold in cdf[:-1][odd_parity[:-1] != odd_parity[1:]]:
+        odd ^= u >= threshold
+    m = len(measured)
+    if m and readout_flip > 0.0:
+        rows = max(1, min(READOUT_FLIP_BLOCK, shots // m))
+        flips = u if rows * m <= shots else np.empty(rows * m)
+        for lo in range(0, shots, rows):
+            block = flips[:min(rows, shots - lo) * m].reshape(-1, m)
+            rng.random(out=block)
+            for column in block.T:
+                odd[lo:lo + len(block)] ^= column < readout_flip
     n_odd = int(np.count_nonzero(odd))
     n_plus = shots - n_odd if word.phase_coeff.real > 0 else n_odd
     return ExpectationSample.from_plus_count(n_plus, shots)

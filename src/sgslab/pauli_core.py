@@ -222,14 +222,28 @@ def expectation(p: PauliString, state) -> float:
     ``state`` may be a raw amplitude array or anything with an
     ``amplitudes`` attribute.
     """
-    amps = getattr(state, "amplitudes", state)
-    amps = np.asarray(amps)
+    amps = np.asarray(getattr(state, "amplitudes", state))
+    return float(expectations(p, amps[:, None])[0])
+
+
+def expectations(p: PauliString, columns: np.ndarray) -> np.ndarray:
+    """``expectation`` of every column of a (2^n, T) array, from one
+    ``pauli_plan``: column v gives <v|P|v> = vdot(v, phase factor v[src])."""
     if not p.is_hermitian(HERMITICITY_TOL):
         raise ValueError(f"non-Hermitian Pauli string (coeff {p.phase_coeff})")
-    value = np.vdot(amps, apply_pauli(p, amps))
-    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
-        raise ValueError(f"expectation has a residual imaginary part: {value}")
-    return float(value.real)
+    if columns.shape[0] != 1 << p.num_qubits:
+        raise ValueError(
+            f"statevector length {columns.shape[0]} != 2**{p.num_qubits}"
+        )
+    src, factor = pauli_plan(p.axes)
+    weights = p.phase_coeff * factor
+    values = np.empty(columns.shape[1])
+    for k, v in enumerate(columns.T):
+        value = np.vdot(v, v[src] * weights)
+        if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
+            raise ValueError(f"expectation has a residual imaginary part: {value}")
+        values[k] = value.real
+    return values
 
 
 @dataclass(frozen=True)

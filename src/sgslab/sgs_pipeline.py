@@ -22,8 +22,9 @@ from .circuit_engine import (
     Circuit,
     StateVector,
     StepPlan,
-    adiabatic_circuit,
     cnot,
+    compile_adiabatic,
+    compile_gates,
     compile_native,
     compile_step,
     evolve_columns,
@@ -31,20 +32,21 @@ from .circuit_engine import (
     pauli_x,
     run_adiabatic,
     run_circuit,
-    sample_expectation,
+    sample_columns,
 )
 from .noise_engine import (
     DENSITY_BATCH_BYTES,
     DensityMatrix,
     NoiseModel,
     _sample_parity,
+    check_density_size,
     evolve_transfer,
     measurement_probs,
     pauli_coefficients,
-    run_noisy,
+    run_noisy_plan,
     word_index,
 )
-from .pauli_core import PauliString, QubitHamiltonian, diagonal_energies
+from .pauli_core import PauliString, QubitHamiltonian, diagonal_energies, expectations
 
 # The paper's circuit budget: therm_steps + evo_steps, unless overridden.
 MAX_TOTAL_STEPS = 40
@@ -323,9 +325,11 @@ def prepare_state(
     straight from each step's term list (``run_adiabatic``), bit for bit
     the state of ``run_circuit`` on ``prep`` + ``adiabatic_circuit``; it
     reuses the rotation plans of ``clean_plan`` (``compile_step(h)``) for
-    the words it shares with H. A noisy ``cfg`` runs the native
-    compilation of that circuit under its noise model and returns a
-    DensityMatrix.
+    the words it shares with H. A noisy ``cfg`` returns a DensityMatrix:
+    the native ``prep`` and the native thermalization, built from the term
+    lists as well (``compile_adiabatic``), run as one plan under the noise
+    model, bit for bit ``run_noisy`` of ``compile_native(prep)`` +
+    ``adiabatic_circuit(..., native=True)``.
     """
     noisy = cfg.noise is not None
     if initial_state is not None:
@@ -336,10 +340,14 @@ def prepare_state(
     prep = prep if prep is not None else default_sgs0_circuit(h0)
     circuit = Circuit(h.num_qubits, list(prep.gates))
     if noisy:
-        circuit = compile_native(circuit)
+        check_density_size(h.num_qubits)
+        start = compile_native(circuit).gates
+        plan = compile_gates(start, start, h.num_qubits, cfg.noise)
         if cfg.therm_steps > 0:
-            circuit += adiabatic_circuit(h0, h, cfg.tau, cfg.therm_steps, native=True)
-        return run_noisy(circuit, cfg.noise)
+            plan += compile_adiabatic(
+                h0, h, cfg.tau, cfg.therm_steps, native=True, noise=cfg.noise
+            )
+        return run_noisy_plan(plan, h.num_qubits)
     state = run_circuit(circuit)
     if cfg.therm_steps > 0:
         run_adiabatic(h0, h, cfg.tau, cfg.therm_steps, state.amplitudes[:, None], clean_plan)
@@ -369,16 +377,12 @@ def _measure_series(
     plan = clean_plan if clean_plan is not None else compile_step(h)
     columns = np.repeat(prefix.amplitudes[:, None], len(times), axis=1)
     evolve_columns(plan, columns, times / cfg.evo_steps, cfg.evo_steps)
-    values = np.empty(len(times))
-    sigmas = np.zeros(len(times))
-    for k in range(len(times)):
-        state = StateVector(h.num_qubits, columns[:, k])
-        if shots is None:
-            values[k] = state.expectation(o)
-        else:
-            sample = sample_expectation(state, o, shots, _point_seed(cfg.seed, k))
-            values[k], sigmas[k] = sample.mean, sample.std_error
-    return values, sigmas
+    if shots is None:
+        return expectations(o, columns), np.zeros(len(times))
+    seeds = [_point_seed(cfg.seed, k) for k in range(len(times))]
+    samples = sample_columns(columns, o, shots, seeds)
+    values = np.array([sample.mean for sample in samples])
+    return values, np.array([sample.std_error for sample in samples])
 
 
 def _measure_noisy_series(

@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import product
 
@@ -42,6 +43,7 @@ from sgslab.hamiltonians import IsingSpec, build_ising
 from sgslab.noise_engine import (
     READOUT_FLIP_BLOCK,
     DensityMatrix,
+    _sample_parity,
     NoiseModel,
     aria_noise_model,
     density_from_pauli,
@@ -314,6 +316,39 @@ class TestNoisySampling:
         odd = (np.bitwise_count(bits) + flips.sum(axis=1)) & 1
         assert got.n_plus == int(np.count_nonzero(odd))  # O = -ZZZ after the basis change
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("flip", [0.0, 0.2])
+    @pytest.mark.parametrize("shots", [1, 37, 2 * READOUT_FLIP_BLOCK + 37])
+    def test_parity_draws_the_choice_stream(self, rng, shots, flip, sign):
+        # oracle: Generator.choice over the bitstrings, then one (shots, m)
+        # array of flips, from the same generator
+        for n in (1, 2, 3):
+            for m in range(1, n + 1):
+                sites = rng.choice(n, size=m, replace=False)
+                axes = [0] * n
+                for q in sites:
+                    axes[q] = int(rng.integers(1, 4))
+                o = PauliString(n, tuple(axes), sign)
+                # small integers: zero weights and tied cumulative sums
+                probs = rng.integers(0, 3, 1 << n).astype(float)
+                probs[rng.integers(1 << n)] += 1.0
+                seed = int(rng.integers(1 << 30))
+                got = _sample_parity(probs, o, shots, flip, seed)
+
+                gen = np.random.default_rng(seed)
+                bits = gen.choice(probs.size, size=shots, p=probs / probs.sum())
+                zmask = sum(1 << (n - 1 - q) for q in sites)
+                flipped = (gen.random((shots, m)) < flip).sum(axis=1) if flip > 0.0 else 0
+                n_odd = int(np.count_nonzero((np.bitwise_count(bits & zmask) + flipped) & 1))
+                assert got.n_plus == (shots - n_odd if sign > 0 else n_odd), (n, axes, probs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_probabilities(self, bad):
+        # a threshold compare would count such shots silently
+        o = PauliString.from_word("ZI")
+        with pytest.raises(ValueError, match="finite"):
+            _sample_parity(np.array([0.5, bad, 0.25, 0.25]), o, 100, 0.0, seed=1)
+
     def test_sign_carrying_observable(self):
         rho = DensityMatrix.zero_state(1)
         sample = sample_expectation_noisy(
@@ -545,3 +580,27 @@ def test_aria_point_counts_pinned(tmp_path):
     rows = (tmp_path / "out" / "series_7.257.csv").read_text().split()[1:]
     means = np.array([float(row.split(",")[1]) for row in rows])
     assert list(np.rint((means + 1.0) * 8192 / 2).astype(int)) == ARIA_7257_N_PLUS
+
+
+# Recorded before the noisy preparation ran from the term lists, ising_1d_aria
+# at seed 7: the n_plus counts of h3/J1 = 2.4, and the reprs of the fitted
+# gap and of the noiseless reference's gap at 7.257.
+ARIA_24_N_PLUS = [
+    3877, 3870, 4079, 4104, 4304, 4196, 4109, 4140, 4015, 4114, 4183, 4213, 4025,
+    4074, 4070, 4134, 4145, 4166, 4072, 4056, 3959, 4075, 4115, 4144, 4126,
+]
+ARIA_7257_GAPS = ("7.789518780309146", "8.542406202235659")
+
+
+def test_aria_fit_pinned(tmp_path):
+    text = (CONFIG_DIR / "ising_1d_aria.yaml").read_text()
+    config = tmp_path / "aria.yaml"
+    config.write_text(text.replace("sweep: [2.4, 2.8, 7.257]", "sweep: [2.4, 7.257]"))
+    assert main(["ising", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "series_2.4.csv").read_text().split()[1:]
+    means = np.array([float(row.split(",")[1]) for row in rows])
+    assert list(np.rint((means + 1.0) * 8192 / 2).astype(int)) == ARIA_24_N_PLUS
+    points = json.loads((tmp_path / "out" / "result.json").read_text())["points"]
+    (point,) = [p for p in points if p["label"] == "7.257"]
+    gaps = (repr(point["fit"]["gap"]), repr(point["noiseless_reference"]["gap"]))
+    assert gaps == ARIA_7257_GAPS

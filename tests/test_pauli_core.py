@@ -15,6 +15,7 @@ from sgslab.pauli_core import (
     diagonal_energies,
     diagonal_part,
     expectation,
+    expectations,
     multiply,
     oracle_limit,
     pauli_plan,
@@ -223,6 +224,21 @@ class TestExpectation:
             p = PauliString(n, axes, 1.0)
             value = expectation(p, random_state(rng, n))
             assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
+
+
+    def test_columns_match_dense(self, rng):
+        columns = np.column_stack([random_state(rng, 3) for _ in range(4)])
+        p = ps("XZY", -1.0)
+        dense = dense_pauli(p)
+        want = [np.vdot(v, dense @ v).real for v in columns.T]
+        np.testing.assert_allclose(expectations(p, columns), want, atol=1e-12)
+        assert [expectation(p, v) for v in columns.T] == list(expectations(p, columns))
+
+    def test_columns_rejected_like_one_state(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            expectations(ps("X", 1j), np.ones((2, 3)))
+        with pytest.raises(ValueError, match="statevector length 4"):
+            expectations(ps("X"), np.ones((4, 3)))
 
 
 def test_apply_pauli_matches_dense(rng):

@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 
 from conftest import DATA_DIR, dense_hamiltonian, lstsq_tone_fit
 
-from sgslab import circuit_engine, sgs_pipeline
+from sgslab import circuit_engine, noise_engine, pauli_core, sgs_pipeline
 from sgslab.circuit_engine import (
     StateVector,
     adiabatic_circuit,
+    compile_native,
     compile_step,
     evolve_columns,
     interpolated_hamiltonian,
     run_circuit,
+    sample_expectation,
     trotter_step,
 )
 from sgslab.hamiltonians import IsingSpec, build_ising, ising_auxiliary, load_qubit_hamiltonian
@@ -545,6 +547,14 @@ def preparation_case(case):
         h = load_qubit_hamiltonian(DATA_DIR / "molecules" / f"{name}.qubits.txt")
         h0 = diagonal_part(h)
         return h, h0, molecule_experiment_config(), prepare_sgs0_basis_pair(*select_aux_pair(h0))
+    if case.startswith("aria_"):  # the ising_1d_aria points
+        spec = IsingSpec.chain(4, 1.0, float(case[len("aria_"):]))
+        cfg = ising_experiment_config(tau=7.0, therm_steps=15)
+        return build_ising(spec), ising_auxiliary(spec), cfg, prepare_sgs0_ising(4)
+    if case == "y_three_local":  # GPI2 frames and CNOT ladders
+        h = QubitHamiltonian.from_terms(3, [("YZX", 0.7), ("IYI", -0.5), ("XXI", 0.4)])
+        h0 = QubitHamiltonian.from_terms(3, [("ZII", -1.0), ("IZI", -0.3)])
+        return h, h0, ExperimentConfig(tau=1.5, therm_steps=3), prepare_sgs0_basis_pair("000", "100")
     if case == "h0_word_not_in_h":  # IYY and ZIZ are no words of the chain
         h = build_ising(IsingSpec.chain(3, 1.0, 2.0))
         h0 = QubitHamiltonian.from_terms(3, [("XXI", -1.0), ("IYY", 0.6), ("ZIZ", 0.3)])
@@ -581,25 +591,73 @@ class TestNoiselessPreparation:
     def test_builds_no_gates(self, monkeypatch):
         h, h0, cfg, prep = preparation_case("ising_2.4")
         plan = compile_step(h)
-        calls = []
-        for module, name in [
-            (circuit_engine, "adiabatic_circuit"),
-            (circuit_engine, "pauli_rotation"),
-            (sgs_pipeline, "adiabatic_circuit"),
-        ]:
-            original = getattr(module, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
+        calls = count_gate_builders(monkeypatch)
         prepare_state(h, h0, cfg, prep, clean_plan=plan)
         prepare_state(h, h0, cfg, prep)
         assert calls == []
-        # the noisy preparation still builds its circuit, so the counters count
+        circuit_engine.adiabatic_circuit(h0, h, cfg.tau, 1)  # the counters count
+        assert {"adiabatic_circuit", "trotter_step", "pauli_rotation"} <= set(calls)
+
+
+def count_gate_builders(monkeypatch) -> list[str]:
+    """Record every call of the functions that build a circuit per step,
+    wherever an sgslab module holds them."""
+    calls = []
+    for name in ("adiabatic_circuit", "trotter_step", "pauli_rotation"):
+        original = getattr(circuit_engine, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for module in (circuit_engine, sgs_pipeline, noise_engine):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+NOISY_PREPARATION_CASES = [
+    "aria_2.4", "aria_2.8", "aria_7.257", "h2", "y_three_local", "h0_word_not_in_h",
+    "pruned_at_midpoint",
+]
+
+
+class TestNoisyPreparation:
+    """The noisy prepare_state against run_noisy of the native circuit."""
+
+    @pytest.mark.parametrize("case", NOISY_PREPARATION_CASES)
+    def test_bit_identical_to_circuit(self, case):
+        h, h0, cfg, prep = preparation_case(case)
+        cfg = replace(cfg, noise=aria_noise_model())
+        circuit = compile_native(prep) + adiabatic_circuit(
+            h0, h, cfg.tau, cfg.therm_steps, native=True
+        )
+        want = run_noisy(circuit, cfg.noise)
+        got = prepare_state(h, h0, cfg, prep)
+        assert np.array_equal(got.matrix, want.matrix)
+
+    def test_without_thermalization_runs_the_native_prep(self):
+        h, h0, cfg, prep = preparation_case("y_three_local")
+        cfg = replace(cfg, therm_steps=0, noise=aria_noise_model())
+        want = run_noisy(compile_native(prep), cfg.noise)
+        assert np.array_equal(prepare_state(h, h0, cfg, prep).matrix, want.matrix)
+
+    def test_builds_no_gates(self, monkeypatch):
+        h, h0, cfg, prep = preparation_case("aria_2.4")
+        calls = count_gate_builders(monkeypatch)
         prepare_state(h, h0, replace(cfg, noise=aria_noise_model()), prep)
-        assert "adiabatic_circuit" in calls and "pauli_rotation" in calls
+        assert calls == []
+
+    def test_qubit_ceiling_before_any_plan(self, monkeypatch):
+        # a 2^n gather per word would come first otherwise
+        def refused(*args):
+            raise AssertionError("plan derived")
+
+        monkeypatch.setattr(circuit_engine, "_rotation_plan", refused)
+        spec = IsingSpec.chain(9, 1.0, 2.0)
+        cfg = ising_experiment_config(tau=1.0, therm_steps=2, noise=aria_noise_model())
+        with pytest.raises(ValueError, match="limited to 8 qubits"):
+            prepare_state(build_ising(spec), ising_auxiliary(spec), cfg, prepare_sgs0_ising(9))
 
 
 def reference_steps(times, cfg):
@@ -629,6 +687,35 @@ class TestSeriesKernel:
             assert values[k] == pytest.approx(state.expectation(o), abs=1e-12)
         np.testing.assert_array_equal(sigmas, 0.0)
 
+
+    @pytest.mark.parametrize("shots", [None, 500])
+    def test_one_observable_plan_per_series(self, rng, monkeypatch, shots):
+        from conftest import random_state
+
+        h = build_ising(IsingSpec.chain(3, 1.0, 2.2))
+        o = PauliString.from_word("XIY", -1.0)
+        prefix = StateVector(3, random_state(rng, 3))
+        cfg = ExperimentConfig(tau=1.0, therm_steps=0, evo_steps=9, seed=11)
+        times = chebyshev_times(cfg.evo_steps, 0.0, 2.5)
+        plan = compile_step(h)
+        derived = []
+        original = pauli_core.pauli_plan
+        monkeypatch.setattr(
+            pauli_core, "pauli_plan", lambda axes: derived.append(axes) or original(axes)
+        )
+        values, sigmas = _measure_series(h, o, prefix, times, cfg, shots, plan)
+        assert derived == [o.axes]
+        monkeypatch.undo()
+        # each column as sample_expectation (or expectation) reads it on its own
+        columns = np.repeat(prefix.amplitudes[:, None], len(times), axis=1)
+        evolve_columns(plan, columns, times / cfg.evo_steps, cfg.evo_steps)
+        for k, column in enumerate(columns.T):
+            state = StateVector(3, column)
+            if shots is None:
+                assert (values[k], sigmas[k]) == (state.expectation(o), 0.0)
+                continue
+            want = sample_expectation(state, o, shots, sgs_pipeline._point_seed(cfg.seed, k))
+            assert (values[k], sigmas[k]) == (want.mean, want.std_error)
 
     @pytest.mark.parametrize(
         "batch_bytes", [None, 3 * 4**3 * 8], ids=["per_point", "per_point-blocks-of-3"]
