@@ -525,9 +525,8 @@ class StepPlan:
     """A gate sequence compiled once into Pauli rotations.
 
     Rotation r turns by ``slopes[r] * dt + intercepts[r]`` at step length
-    dt about the word ``words[r]``, given as (qubits, axes). ``plans[r]``
-    holds its statevector gather index and phase (see ``_rotate``); the
-    noise engine derives its Pauli-basis tables from ``words``.
+    dt about the word ``words[r]``, given as (qubits, axes); each kernel
+    builds its own per-word tables from ``words``, once per call.
     ``channels[r]`` is ``(targets, p)``, the depolarizing channels that
     follow rotation r: the last rotation of each gate carries the gate's
     targets when the plan's noise model gives it p > 0, every other
@@ -537,7 +536,6 @@ class StepPlan:
     slopes: np.ndarray
     intercepts: np.ndarray
     words: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    plans: tuple[tuple[np.ndarray, np.ndarray], ...]
     channels: tuple[tuple[tuple[int, ...], float], ...]
 
     def __add__(self, other: "StepPlan") -> "StepPlan":
@@ -546,7 +544,6 @@ class StepPlan:
             np.concatenate((self.slopes, other.slopes)),
             np.concatenate((self.intercepts, other.intercepts)),
             self.words + other.words,
-            self.plans + other.plans,
             self.channels + other.channels,
         )
 
@@ -570,50 +567,68 @@ class StepPlan:
         return cos, sin
 
 
-def compile_gates(
-    at_one, at_zero, num_qubits: int, noise: NoiseModel | None = None, shared=None
-) -> StepPlan:
-    """Plan of a gate sequence whose angles are linear in the step length.
-
-    ``at_one``/``at_zero`` are the sequence at dt = 1 and dt = 0 (pass the
-    same list twice for a fixed circuit); each gate becomes its
-    ``_gate_rotations``, and each rotation's slope and intercept are read
-    from the two lists. With ``noise``, every gate is followed by one
+def compile_gates(gates, num_qubits: int, noise: NoiseModel | None = None) -> StepPlan:
+    """Plan of a fixed gate list: each gate becomes its ``_gate_rotations``,
+    every slope 0. With ``noise``, every gate is followed by one
     depolarizing channel per target, with the model's one- or two-qubit
     probability. The rotations leave out the global phase of H, X and
-    CNOT, which no density matrix or expectation value sees. ``shared``
-    maps words to plans already derived; the new ones are added to it.
+    CNOT, which no density matrix or expectation value sees.
     """
     p1, p2 = (noise.p_1q(), noise.p_2q()) if noise is not None else (0.0, 0.0)
-    slopes, intercepts, words, plans, channels = [], [], [], [], []
-    shared = {} if shared is None else shared  # one plan per distinct word
-    for g1, g0 in zip(at_one, at_zero, strict=True):
-        rotations = list(zip(_gate_rotations(g1), _gate_rotations(g0), strict=True))
-        p = p1 if g1.num_targets == 1 else p2
-        for k, ((qubits, axes, theta1), (_, _, theta0)) in enumerate(rotations):
-            slopes.append(theta1 - theta0)
-            intercepts.append(theta0)
+    angles, words, channels = [], [], []
+    for g in gates:
+        for q in g.qubits:
+            if not 0 <= q < num_qubits:
+                raise ValueError(f"gate targets qubit {q}, out of range for {num_qubits} qubits")
+        rotations = _gate_rotations(g)
+        p = p1 if g.num_targets == 1 else p2
+        for k, (qubits, axes, theta) in enumerate(rotations):
+            angles.append(theta)
             words.append((qubits, axes))
-            if (qubits, axes) not in shared:
-                shared[qubits, axes] = _rotation_plan(qubits, axes, num_qubits)
-            plans.append(shared[qubits, axes])
             last = k == len(rotations) - 1
-            channels.append((g1.qubits, p) if last and p > 0.0 else ((), 0.0))
-    return StepPlan(
-        np.array(slopes), np.array(intercepts), tuple(words), tuple(plans), tuple(channels)
-    )
+            channels.append((g.qubits, p) if last and p > 0.0 else ((), 0.0))
+    return StepPlan(np.zeros(len(angles)), np.array(angles), tuple(words), tuple(channels))
+
+
+def compile_terms(
+    terms, num_qubits: int, native: bool = False, noise: NoiseModel | None = None
+) -> StepPlan:
+    """Plan of the product formula that applies exp(-i c dt P) for each
+    (axes, c) of ``terms`` in turn, for any step length dt.
+
+    Each distinct word is compiled once (``compile_gates``), as the
+    PauliRotation gate that ``trotter_step`` writes for it (through
+    ``_compile_gate`` when ``native``), at a NaN angle that marks the one
+    rotation carrying it. A term repeats its word's rotations and
+    channels, with slope 2 c on that rotation. So at any dt the plan is,
+    rotation for rotation, ``compile_gates`` of those gates.
+    """
+    compiled = {}  # by the term's axes: (marked rotation, angles, words, channels)
+    slopes, intercepts, words, channels = [], [], [], []
+    for axes, coeff in terms:
+        if axes not in compiled:
+            qubits = tuple(q for q, a in enumerate(axes) if a != 0)
+            g = Gate("PROT", qubits, (math.nan,), tuple(axes[q] for q in qubits))
+            part = compile_gates(_compile_gate(g) if native else [g], num_qubits, noise)
+            angles = part.intercepts.tolist()
+            marked = int(np.isnan(part.intercepts).argmax())
+            angles[marked] = 0.0
+            compiled[axes] = (marked, angles, part.words, part.channels)
+        marked, angles, part_words, part_channels = compiled[axes]
+        rates = [0.0] * len(angles)
+        rates[marked] = 2.0 * coeff
+        slopes += rates
+        intercepts += angles
+        words += part_words
+        channels += part_channels
+    return StepPlan(np.array(slopes), np.array(intercepts), tuple(words), tuple(channels))
 
 
 def compile_step(
     h: QubitHamiltonian, native: bool = False, noise: NoiseModel | None = None
 ) -> StepPlan:
-    """Plan of ``trotter_step(h, dt, native)`` for any dt, compiled once."""
-    return compile_gates(
-        trotter_step(h, 1.0, native=native).gates,
-        trotter_step(h, 0.0, native=native).gates,
-        h.num_qubits,
-        noise,
-    )
+    """Plan of ``trotter_step(h, dt, native)`` for any dt (``compile_terms``)."""
+    return compile_terms(trotter_term_order(h), h.num_qubits, native, noise)
 
 
 def compile_adiabatic(
@@ -623,44 +638,20 @@ def compile_adiabatic(
     n_steps: int,
     native: bool = False,
     noise: NoiseModel | None = None,
-    reuse: StepPlan | None = None,
 ) -> StepPlan:
     """Plan of ``adiabatic_circuit(h0, h, tau, n_steps, native)``, with the
-    depolarizing channels of ``compile_gates`` under ``noise``. Every slope
-    is 0: run it at dt = 0, where each rotation turns by its intercept.
+    ``compile_gates`` channels under ``noise``. Every slope is 0: run it at
+    dt = 0, where each rotation turns by its intercept.
 
-    It is built straight from each step's term order
-    (``_adiabatic_schedule``), with no gate per step. Each distinct word is
-    compiled once, as the PauliRotation gate that ``trotter_step`` writes
-    for it (through ``_compile_gate`` when ``native``); a term repeats that
-    word's rotations and channels, with its angle 2 c dt on the one
-    rotation that carries the gate's angle. So the plan is, rotation for
-    rotation, ``compile_gates`` of the circuit. Words in ``reuse`` take
-    their statevector plans from it.
+    It is ``compile_terms`` over every step's term order
+    (``_adiabatic_schedule``) in turn, with each angle fixed at the
+    schedule's step length, so no gate is built per step. Rotation for
+    rotation, it is ``compile_gates`` of the circuit.
     """
     steps, dt = _adiabatic_schedule(h0, h, tau, n_steps)
-    shared = dict(zip(reuse.words, reuse.plans)) if reuse is not None else {}
-    compiled: dict[tuple[int, ...], tuple[int, StepPlan]] = {}  # by the term's axes
-    intercepts, words, plans, channels = [], [], [], []
-    for terms in steps:
-        for axes, coeff in terms:
-            if axes not in compiled:
-                qubits = tuple(q for q, a in enumerate(axes) if a != 0)
-                sub_axes = tuple(axes[q] for q in qubits)
-                at = [Gate("PROT", qubits, (theta,), sub_axes) for theta in (1.0, 0.0)]
-                gates = [_compile_gate(g) if native else [g] for g in at]
-                part = compile_gates(*gates, h.num_qubits, noise, shared)
-                compiled[axes] = (int(np.flatnonzero(part.slopes)[0]), part)
-            k, part = compiled[axes]
-            angles = part.intercepts.tolist()
-            angles[k] = 2.0 * coeff * dt
-            intercepts += angles
-            words += part.words
-            plans += part.plans
-            channels += part.channels
+    plan = compile_terms([term for terms in steps for term in terms], h.num_qubits, native, noise)
     return StepPlan(
-        np.zeros(len(intercepts)), np.array(intercepts), tuple(words), tuple(plans),
-        tuple(channels),
+        np.zeros_like(plan.slopes), plan.slopes * dt + plan.intercepts, plan.words, plan.channels
     )
 
 
@@ -670,28 +661,30 @@ def run_adiabatic(
     tau: float,
     n_steps: int,
     columns: np.ndarray,
-    reuse: StepPlan | None = None,
 ) -> np.ndarray:
     """Apply ``adiabatic_circuit(h0, h, tau, n_steps)`` to a (2^n, T)
     array in place, one rotation of ``compile_adiabatic`` at a time.
 
     No gate is built, and each rotation is applied as ``_run_gates``
-    applies it, so the result is bit for bit that of ``run_circuit``.
+    applies it, so the result is bit for bit that of ``run_circuit``. Each
+    distinct word's gather is derived once per call.
     """
-    plan = compile_adiabatic(h0, h, tau, n_steps, reuse=reuse)
-    width = columns.shape[-1]
-    cos, sin = plan.half_angle_trig(np.zeros(width), width)
-    for (src, phase), c, s in zip(plan.plans, cos, sin):
-        _rotate(columns, src, phase[:, None], c, s)
+    plan = compile_adiabatic(h0, h, tau, n_steps)
+    n = columns.shape[0].bit_length() - 1
+    gathers = {word: _rotation_plan(*word, n) for word in dict.fromkeys(plan.words)}
+    for word, theta in zip(plan.words, plan.intercepts.tolist()):
+        src, phase = gathers[word]
+        _rotate(columns, src, phase[:, None], math.cos(theta / 2), math.sin(theta / 2))
     return columns
 
 
 def _flip_mask_blocks(
-    plan: StepPlan, cos: np.ndarray, sin: np.ndarray
+    plan: StepPlan, cos: np.ndarray, sin: np.ndarray, num_qubits: int
 ) -> list[tuple[np.ndarray | None, np.ndarray, np.ndarray]]:
     """The plan's rotations at the given ``half_angle_trig`` fused into
-    blocks (src, A, B), each acting on (2^n, T) columns as
-    v <- A v + B v[src].
+    blocks (src, A, B), each acting on (2^n, T) columns of ``num_qubits``
+    qubits as v <- A v + B v[src]; each distinct word's gather is derived
+    once per call.
 
     A rotation with flip mask a is v <- c v + s phase v[x ^ a], and such
     operators compose in closed form because v[src][src] = v: after
@@ -702,8 +695,10 @@ def _flip_mask_blocks(
     the first block when it leads; ``src`` is None only when every
     rotation is diagonal.
     """
+    gathers = {word: _rotation_plan(*word, num_qubits) for word in dict.fromkeys(plan.words)}
     blocks = []  # [mask, src, A, B]; mask 0 while the block is diagonal
-    for (src, phase), c, s in zip(plan.plans, cos, sin):
+    for word, c, s in zip(plan.words, cos, sin):
+        src, phase = gathers[word]
         mask = int(src[0])
         if not blocks or mask and blocks[-1][0] not in (0, mask):
             ones = np.ones((src.size, c.size), complex)
@@ -742,7 +737,7 @@ def evolve_columns(
     for bit. The plan's noise channels do not apply to pure states.
     """
     cos, sin = plan.half_angle_trig(dts, columns.shape[-1])
-    blocks = _flip_mask_blocks(plan, cos, sin)
+    blocks = _flip_mask_blocks(plan, cos, sin, columns.shape[0].bit_length() - 1)
     for _ in range(n_steps):
         for src, a, b in blocks:
             if src is None:

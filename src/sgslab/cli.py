@@ -310,7 +310,7 @@ def _run_point(job) -> tuple[dict, TimeSeries | None]:
     noiseless series."""
     study, cfg, (entry, h, h0, observable, prep) = job
     clean_plan = compile_step(h)
-    clean_state = prepare_state(h, h0, replace(cfg, noise=None), prep, clean_plan=clean_plan)
+    clean_state = prepare_state(h, h0, replace(cfg, noise=None), prep)
     if cfg.time_window is None:
         window = auto_time_window(
             h, h0, observable, cfg, initial_state=clean_state, clean_plan=clean_plan

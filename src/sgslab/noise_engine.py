@@ -278,6 +278,11 @@ def measurement_probs(columns: np.ndarray, o: PauliString) -> np.ndarray:
     """
     readout_word(o)  # rejects a non-Hermitian or non-unit O
     n = o.num_qubits
+    if columns.shape[0] != 4**n:
+        raise ValueError(
+            f"Pauli columns have {columns.shape[0]} rows, a {n}-qubit observable "
+            f"needs 4^{n} = {4**n}"
+        )
     words = np.zeros(1, dtype=np.intp)
     for a in o.axes:  # qubit 0 ends as the most significant bit of s
         words = (4 * words[:, None] + [0, a or 3]).ravel()
@@ -309,7 +314,7 @@ def run_noisy(
                 f"gate {g.name} acts on {g.num_targets} qubits; run_noisy needs "
                 "a native-compiled circuit"
             )
-    plan = compile_gates(circuit.gates, circuit.gates, circuit.num_qubits, noise)
+    plan = compile_gates(circuit.gates, circuit.num_qubits, noise)
     return run_noisy_plan(plan, circuit.num_qubits, initial, max_qubits)
 
 

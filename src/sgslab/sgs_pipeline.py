@@ -316,22 +316,23 @@ def prepare_state(
     cfg: ExperimentConfig,
     prep: Circuit | None = None,
     initial_state: StateVector | None = None,
-    clean_plan: StepPlan | None = None,
 ) -> StateVector | DensityMatrix:
     """The state a series starts from: ``initial_state`` as given, or
     ``prep`` (inferred from H0 when None) followed by the thermalization.
 
     Noiseless, ``prep`` runs through ``run_circuit`` and the thermalization
     straight from each step's term list (``run_adiabatic``), bit for bit
-    the state of ``run_circuit`` on ``prep`` + ``adiabatic_circuit``; it
-    reuses the rotation plans of ``clean_plan`` (``compile_step(h)``) for
-    the words it shares with H. A noisy ``cfg`` returns a DensityMatrix:
-    the native ``prep`` and the native thermalization, built from the term
-    lists as well (``compile_adiabatic``), run as one plan under the noise
-    model, bit for bit ``run_noisy`` of ``compile_native(prep)`` +
+    the state of ``run_circuit`` on ``prep`` + ``adiabatic_circuit``. A
+    noisy ``cfg`` returns a DensityMatrix, within the density qubit limit
+    whether or not ``initial_state`` is given: the native ``prep`` and the
+    native thermalization, built from the term lists as well
+    (``compile_adiabatic``), run as one plan under the noise model, bit
+    for bit ``run_noisy`` of ``compile_native(prep)`` +
     ``adiabatic_circuit(..., native=True)``.
     """
     noisy = cfg.noise is not None
+    if noisy:
+        check_density_size(h.num_qubits)
     if initial_state is not None:
         if initial_state.num_qubits != h.num_qubits:
             raise ValueError("initial_state qubit-count mismatch")
@@ -340,9 +341,7 @@ def prepare_state(
     prep = prep if prep is not None else default_sgs0_circuit(h0)
     circuit = Circuit(h.num_qubits, list(prep.gates))
     if noisy:
-        check_density_size(h.num_qubits)
-        start = compile_native(circuit).gates
-        plan = compile_gates(start, start, h.num_qubits, cfg.noise)
+        plan = compile_gates(compile_native(circuit).gates, h.num_qubits, cfg.noise)
         if cfg.therm_steps > 0:
             plan += compile_adiabatic(
                 h0, h, cfg.tau, cfg.therm_steps, native=True, noise=cfg.noise
@@ -350,7 +349,7 @@ def prepare_state(
         return run_noisy_plan(plan, h.num_qubits)
     state = run_circuit(circuit)
     if cfg.therm_steps > 0:
-        run_adiabatic(h0, h, cfg.tau, cfg.therm_steps, state.amplitudes[:, None], clean_plan)
+        run_adiabatic(h0, h, cfg.tau, cfg.therm_steps, state.amplitudes[:, None])
     return state
 
 
@@ -449,7 +448,7 @@ def auto_time_window(
 
     t_pilot = dt_max * cfg.evo_steps  # longest admissible window for the pilot
     pilot_cfg = replace(cfg, noise=None)
-    prefix = prepare_state(h, h0, pilot_cfg, prep, initial_state, clean_plan)
+    prefix = prepare_state(h, h0, pilot_cfg, prep, initial_state)
     pilot_times = chebyshev_times(cfg.evo_steps, 0.0, t_pilot)
     values, _ = _measure_series(h, o, prefix, pilot_times, pilot_cfg, None, clean_plan)
     pilot = TimeSeries(pilot_times, values, np.zeros_like(values))
@@ -489,7 +488,7 @@ def run_experiment(
     else:
         t_min, t_max = auto_time_window(h, h0, o, cfg, prep, initial_state, clean_plan)
     times = chebyshev_times(cfg.evo_steps, t_min, t_max)
-    prefix = prepare_state(h, h0, cfg, prep, initial_state, clean_plan)
+    prefix = prepare_state(h, h0, cfg, prep, initial_state)
     values, sigmas = _measure_series(h, o, prefix, times, cfg, cfg.shots, clean_plan)
     return TimeSeries(times, values, sigmas)
 

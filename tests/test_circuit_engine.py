@@ -26,9 +26,11 @@ from sgslab.circuit_engine import (
     basis_change_circuit,
     circuit_unitary,
     cnot,
+    compile_adiabatic,
     compile_gates,
     compile_native,
     compile_step,
+    compile_terms,
     evolve_columns,
     gpi2,
     hadamard,
@@ -44,7 +46,8 @@ from sgslab.circuit_engine import (
     trotter_term_order,
 )
 from sgslab.hamiltonians import IsingSpec, build_ising, ising_auxiliary, load_qubit_hamiltonian
-from sgslab.pauli_core import PauliString, QubitHamiltonian
+from sgslab.noise_engine import aria_noise_model
+from sgslab.pauli_core import PauliString, QubitHamiltonian, diagonal_part
 
 
 def equal_up_to_phase(a, b, tol=1e-12):
@@ -428,8 +431,8 @@ class TestStepKernel:
         h = self.fused_case(name, rng)
         plan = compile_step(h)
         dts = np.array([0.04, 0.17])
-        fused = _flip_mask_blocks(plan, *plan.half_angle_trig(dts, len(dts)))
-        assert (len(fused), len(plan.plans)) == (blocks, rotations)
+        fused = _flip_mask_blocks(plan, *plan.half_angle_trig(dts, len(dts)), h.num_qubits)
+        assert (len(fused), len(plan.words)) == (blocks, rotations)
         assert (fused[0][0] is None) == (name == "diagonal")
         start = np.column_stack([random_state(rng, h.num_qubits) for _ in dts])
         columns = evolve_columns(plan, start.copy(), dts, n_steps=3)
@@ -437,7 +440,7 @@ class TestStepKernel:
 
     def test_blocks_follow_mask_runs(self, rng):
         plan = compile_step(self.fused_case("mixed", rng))
-        fused = _flip_mask_blocks(plan, *plan.half_angle_trig([0.1], 1))
+        fused = _flip_mask_blocks(plan, *plan.half_angle_trig([0.1], 1), 5)
         assert [int(src[0]) for src, _, _ in fused] == [0b01000, 0b01001, 0b01000, 0b10000]
 
     @pytest.mark.parametrize("dts, n_steps", [
@@ -454,7 +457,7 @@ class TestStepKernel:
     def test_compile_gates_rejects_out_of_range(self, qubit):
         gates = [ms(0, 1, 0.0, 0.0, 0.3), gpi2(qubit, 0.0)]
         with pytest.raises(ValueError, match=f"qubit {qubit}, out of range for 3 qubits"):
-            compile_gates(gates, gates, 3)
+            compile_gates(gates, 3)
 
     @pytest.mark.parametrize("dts", [[0.1], [0.1, 0.2, 0.3, 0.4], 0.1],
                              ids=["too-few", "too-many", "scalar"])
@@ -463,6 +466,72 @@ class TestStepKernel:
         plan = compile_step(self.fused_case("mixed", rng))
         with pytest.raises(ValueError, match="one step length per column"):
             evolve_columns(plan, np.zeros((32, 3), complex), dts, n_steps=2)
+
+
+def compile_case(name):
+    """(h, h0, tau, therm_steps) of a shipped point."""
+    if name.startswith("chain4_"):
+        spec = IsingSpec.chain(4, 1.0, float(name[len("chain4_"):]))
+        return build_ising(spec), ising_auxiliary(spec), 7.0, 15
+    if name == "torus3x3":
+        spec = IsingSpec.lattice(3, 3, 1.0, 2.0)
+        return build_ising(spec), ising_auxiliary(spec), 7.0, 15
+    h = load_qubit_hamiltonian(DATA_DIR / "molecules" / f"{name}.qubits.txt")
+    return h, diagonal_part(h), 2.0, 5
+
+
+COMPILE_CASES = ["chain4_2.0", "chain4_2.4", "chain4_7.257", "torus3x3", "h2_r0735", "he2_r100"]
+COMPILE_MODES = {"plain": (False, None), "native": (True, None), "aria": (True, aria_noise_model())}
+
+
+class TestCompileTerms:
+    """The term-list compiler against compile_gates of the circuits it
+    replaces, bit for bit."""
+
+    @pytest.mark.parametrize("mode", COMPILE_MODES)
+    @pytest.mark.parametrize("case", COMPILE_CASES)
+    def test_step_matches_trotter_step(self, case, mode):
+        h = compile_case(case)[0]
+        native, noise = COMPILE_MODES[mode]
+        plan = compile_step(h, native, noise)
+        dts = [0.05, 0.31, 0.67, -0.2]
+        cos, sin = plan.half_angle_trig(dts, len(dts))
+        for k, dt in enumerate(dts):
+            want = compile_gates(trotter_step(h, dt, native).gates, h.num_qubits, noise)
+            assert (plan.words, plan.channels) == (want.words, want.channels)
+            want_cos, want_sin = want.half_angle_trig([0.0], 1)
+            np.testing.assert_array_equal(cos[:, k], want_cos[:, 0])
+            np.testing.assert_array_equal(sin[:, k], want_sin[:, 0])
+
+    @pytest.mark.parametrize("mode", COMPILE_MODES)
+    @pytest.mark.parametrize("case", COMPILE_CASES)
+    def test_thermalization_matches_adiabatic_circuit(self, case, mode):
+        h, h0, tau, n_steps = compile_case(case)
+        native, noise = COMPILE_MODES[mode]
+        plan = compile_adiabatic(h0, h, tau, n_steps, native, noise)
+        circuit = adiabatic_circuit(h0, h, tau, n_steps, native)
+        want = compile_gates(circuit.gates, h.num_qubits, noise)
+        assert (plan.words, plan.channels) == (want.words, want.channels)
+        np.testing.assert_array_equal(plan.slopes, 0.0)
+        np.testing.assert_array_equal(plan.intercepts, want.intercepts)
+
+    def test_any_term_order(self):
+        # a symmetric step, each term a half step there and back: just a
+        # longer term list with repeated words
+        h = QubitHamiltonian.from_terms(3, [("YZX", 0.7), ("IYI", -0.5), ("XXI", 0.4)])
+        order = trotter_term_order(h)
+        terms = [(axes, c / 2.0) for axes, c in order + order[::-1]]
+        noise = aria_noise_model()
+        plan = compile_terms(terms, 3, native=True, noise=noise)
+        gates = [
+            g for axes, c in terms
+            for g in trotter_step(QubitHamiltonian(3, ((axes, c),)), 0.3, native=True).gates
+        ]
+        want = compile_gates(gates, 3, noise)
+        assert (plan.words, plan.channels) == (want.words, want.channels)
+        got = plan.half_angle_trig([0.3], 1)
+        for a, b in zip(got, want.half_angle_trig([0.0], 1)):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestMeasurement:

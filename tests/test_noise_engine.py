@@ -411,7 +411,7 @@ def kernel_gates(matrix, gates, noise=None):
     """A fixed gate list through the Pauli-transfer kernel on one column."""
     n = matrix.shape[0].bit_length() - 1
     columns = pauli_coefficients(matrix)[:, None]
-    evolve_transfer(compile_gates(gates, gates, n, noise), columns, [0.0])
+    evolve_transfer(compile_gates(gates, n, noise), columns, [0.0])
     return density_from_pauli(columns[:, 0])
 
 
@@ -486,7 +486,7 @@ class TestDensityKernel:
 
     def test_rejects_columns_it_cannot_view(self):
         # a channel is a strided multiply on a view of the columns
-        plan = compile_gates([rz(0, 0.3)], [rz(0, 0.3)], 2, aria_noise_model())
+        plan = compile_gates([rz(0, 0.3)], 2, aria_noise_model())
         with pytest.raises(ValueError, match="C-contiguous"):
             evolve_transfer(plan, np.zeros((16, 4))[:, ::2], [0.0, 0.0])
 
@@ -562,6 +562,14 @@ class TestPauliBasis:
         probs = measurement_probs(columns, o)
         for k, m in enumerate(matrices):
             np.testing.assert_allclose(probs[:, k], np.diag(c @ m @ c.conj().T).real, atol=1e-15)
+
+    @pytest.mark.parametrize("word", ["XI", "XIIZ"], ids=["fewer-qubits", "more-qubits"])
+    def test_measurement_probs_rejects_columns_of_another_size(self, word):
+        # |000> columns: a 2-qubit XI would read rows of other words
+        columns = pauli_coefficients(DensityMatrix.zero_state(3).matrix)[:, None]
+        n = len(word)
+        with pytest.raises(ValueError, match=f"64 rows, a {n}-qubit observable needs 4\\^{n}"):
+            measurement_probs(columns, PauliString.from_word(word))
 
 
 # Recorded from the dense density-matrix engine this kernel replaced: the
