@@ -4,9 +4,11 @@ coherence amplitudes, and the exhaustive observable search."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import default_rng
@@ -91,9 +93,13 @@ def low_spectrum(h: QubitHamiltonian, k: int) -> SpectrumResult:
 
 def _apply(plan: list[tuple[np.ndarray, np.ndarray]], block: np.ndarray) -> np.ndarray:
     """H applied to every column of ``block``, one gather per flip mask."""
+    # np.take gathers whole rows of a C-ordered block at memcpy speed
+    block = np.ascontiguousarray(block)
     out = np.zeros_like(block)
     for src, diag in plan:
-        out += diag[:, None] * block[src]
+        rows = np.take(block, src, axis=0)
+        rows *= diag[:, None]
+        out += rows
     return out
 
 
@@ -146,18 +152,30 @@ def block_lanczos(h: QubitHamiltonian, k: int) -> SpectrumResult:
     plan = h.flip_plan()
     # a sum of words with even Y counts is a real matrix: work in real arithmetic
     dtype = complex if any(diag.imag.any() for _, diag in plan) else float
-    plan = [(src, diag if dtype is complex else diag.real.copy()) for src, diag in plan]
     one_norm = h.coeff_one_norm()
-    tol = KRYLOV_RESIDUAL_TOL * one_norm
+    # run on H / 2^e with 2^e just above the 1-norm: a power of two scales
+    # every product exactly, and column norms of the scaled blocks cannot
+    # overflow however large the coefficients are
+    _, e = math.frexp(one_norm)
+    scale = math.ldexp(1.0, -e)
+    plan = [(src, scale * (diag if dtype is complex else diag.real)) for src, diag in plan]
+    tol = KRYLOV_RESIDUAL_TOL * (scale * one_norm)
+    floor = KRYLOV_RANK_TOL * (scale * one_norm)
     rng = default_rng(KRYLOV_SEED)
-    basis = np.empty((dim, 0), dtype=dtype)
-    proj = np.empty((0, 0), dtype=dtype)
+    # the basis and the projected matrix live in buffers that double when
+    # full, and each new block is written into a slice
+    basis_buf = np.empty((dim, 0), dtype=dtype)
+    proj_buf = np.empty((0, 0), dtype=dtype)
+    m = 0
     w = _random_block(rng, dim, min(k + 1, dim), dtype)
     check_at = k
     while True:
-        block = _next_block(basis, w, KRYLOV_RANK_TOL * one_norm, rng)
-        m, width = basis.shape[1], block.shape[1]
-        basis = np.hstack([basis, block])
+        block = _next_block(basis_buf[:, :m], w, floor, rng)
+        width = block.shape[1]
+        if m + width > basis_buf.shape[1]:
+            basis_buf, proj_buf = _grown(basis_buf, proj_buf, m, min(dim, 2 * (m + width)))
+        basis_buf[:, m : m + width] = block
+        basis = basis_buf[:, : m + width]
         w = _apply(plan, block)
         coeffs = np.zeros((m + width, width), dtype=dtype)
         for _ in range(2):
@@ -165,24 +183,37 @@ def block_lanczos(h: QubitHamiltonian, k: int) -> SpectrumResult:
             w -= basis @ c
             coeffs += c
         coeffs[m:] = 0.5 * (coeffs[m:] + coeffs[m:].conj().T)
-        proj = np.block([[proj, coeffs[:m]], [coeffs[:m].conj().T, coeffs[m:]]])
+        proj_buf[:m, m : m + width] = coeffs[:m]
+        proj_buf[m : m + width, :m] = coeffs[:m].conj().T
+        proj_buf[m : m + width, m : m + width] = coeffs[m:]
         m += width
         # the Ritz check costs O(m^3): run it once the basis grew by a tenth
         if m < check_at and m < dim:
             continue
         check_at = m + m // 10
-        values, vectors = np.linalg.eigh(proj)
+        values, vectors = np.linalg.eigh(proj_buf[:m, :m])
         estimate = np.linalg.norm(w @ vectors[m - width :, :k], axis=0)
         if m < dim and np.any(estimate > tol):
             continue
         states = basis @ vectors[:, :k]
         residual = np.linalg.norm(_apply(plan, states) - states * values[:k], axis=0)
         if np.all(residual <= tol):
-            return _read_only(values[:k], states.astype(complex), one_norm)
+            return _read_only(np.ldexp(values[:k], e), states.astype(complex), one_norm)
         if m == dim:
             raise ArithmeticError(
-                f"block Lanczos residual {residual.max():.3g} above {tol:.3g} at full dimension"
+                f"block Lanczos residual {math.ldexp(residual.max(), e):.3g} above "
+                f"{KRYLOV_RESIDUAL_TOL * one_norm:.3g} at full dimension"
             )
+
+
+def _grown(basis: np.ndarray, proj: np.ndarray, m: int, capacity: int):
+    """``basis`` and ``proj`` moved into buffers of ``capacity`` columns,
+    keeping their first ``m`` columns (and rows)."""
+    new_basis = np.empty((basis.shape[0], capacity), dtype=basis.dtype)
+    new_basis[:, :m] = basis[:, :m]
+    new_proj = np.empty((capacity, capacity), dtype=proj.dtype)
+    new_proj[:m, :m] = proj[:m, :m]
+    return new_basis, new_proj
 
 
 def benchmark_gap(h: QubitHamiltonian, i: int = 0, j: int = 1) -> float:
@@ -288,8 +319,7 @@ def _structured_family_words(num_qubits: int) -> list[tuple[int, ...]]:
     return words
 
 
-@dataclass(frozen=True)
-class SearchRecord:
+class SearchRecord(NamedTuple):
     word: str
     rho: float
     theta: float
@@ -340,11 +370,23 @@ def observable_search(
     words = np.array(list(AXIS_CHARS))[axes].view(f"<U{n}").ravel()
     rho, theta = _polar(elements)
     order = np.lexsort((words, -rho))
-    words, rho, theta = words[order].tolist(), rho[order].tolist(), theta[order].tolist()
-    return [SearchRecord(*row) for row in zip(words, rho, theta)]
+    rows = zip(words[order].tolist(), rho[order].tolist(), theta[order].tolist())
+    return list(map(SearchRecord._make, rows))
+
+
+def _formatted(values) -> list[str]:
+    """``f"{v:.17g}"`` of every value, formatting each distinct value once.
+    Values are told apart by bit pattern, not by ==, so that 0.0 and -0.0
+    keep their own text."""
+    bits = np.array(values, dtype=float).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([f"{v:.17g}" for v in distinct.view(float).tolist()], dtype=object)
+    return text[inverse].tolist()
 
 
 def search_report_csv(records: list[SearchRecord]) -> str:
     lines = ["pauli_word,rho,theta"]
-    lines += [f"{r.word},{r.rho:.17g},{r.theta:.17g}" for r in records]
+    if records:
+        words, rho, theta = zip(*records)
+        lines += map(",".join, zip(words, _formatted(rho), _formatted(theta)))
     return "\n".join(lines) + "\n"

@@ -6,10 +6,12 @@ gap fit is a numpy variable projection (no scipy.optimize). Every gate
 runs as Pauli rotations: the dense gate matrices and their tensor
 contraction are a test oracle (conftest), not a second simulator. Noisy
 states run in the Pauli-transfer basis, with no dense density kernel
-beside it.
+beside it. The block Lanczos basis grows in place, not by concatenation.
+Every function the benchmark's tracer wraps still exists under its name.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -82,3 +84,46 @@ def test_cli_import_loads_no_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def _bench_targets():
+    """(module, attribute) of every SPANS and COUNTED entry of
+    bench/layers.py, read from its syntax tree without importing it."""
+    path = REPO_ROOT / "bench" / "layers.py"
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in ("SPANS", "COUNTED") for t in node.targets
+        ):
+            for entry in node.value.elts:
+                module, attr = entry.elts[:2]
+                yield module.value, attr.value
+
+
+def test_bench_span_targets_resolve():
+    targets = list(_bench_targets())
+    assert targets
+    missing = []
+    for module_name, attr in targets:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module_name}.{attr}")
+    assert not missing, missing
+
+
+def test_block_lanczos_grows_its_basis_in_place():
+    # regrowing the basis by concatenation copies it on every block
+    path = REPO_ROOT / "src" / "sgslab" / "spectra_oracle.py"
+    (solver,) = [
+        node for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name == "block_lanczos"
+    ]
+    found = {
+        node.func.attr
+        for node in ast.walk(solver)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+        and node.func.attr in ("hstack", "vstack", "block", "concatenate", "append")
+    }
+    assert not found, sorted(found)

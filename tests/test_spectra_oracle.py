@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     dense_hamiltonian,
@@ -174,6 +176,26 @@ class TestObservableSearch:
         assert len(lines) == 1 + len(records)
 
 
+_SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+                   -2.5e-320, 2.2250738585072009e-308, 1.0, math.pi]
+
+
+@given(st.lists(st.tuples(
+    st.text(alphabet="IXYZ", min_size=1, max_size=4),
+    st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()),
+    st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()),
+), max_size=40))
+@example([])
+@example([("XI", 0.0, -0.0), ("IX", -0.0, 0.0), ("XX", 0.0, -0.0)])
+@settings(max_examples=200, deadline=None)
+def test_report_csv_matches_per_row_formatting(rows):
+    # the writer formats each distinct value once; the text must be what
+    # formatting every row on its own gives
+    records = [SearchRecord(*row) for row in rows]
+    want = ["pauli_word,rho,theta"] + [f"{w},{rho:.17g},{theta:.17g}" for w, rho, theta in rows]
+    assert search_report_csv(records) == "\n".join(want) + "\n"
+
+
 class TestClosedForm:
     def test_value_at_zero_time(self, rng):
         h = random_hamiltonian(rng, 2)
@@ -296,6 +318,27 @@ class TestBlockLanczos:
         h = _krylov_cases()[4]
         a, b = block_lanczos(h, 2), block_lanczos(h, 2)
         assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+        assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
+
+    def test_huge_coefficients_do_not_overflow(self, tmp_path):
+        # |H x| of a unit column is about 1e301 here: its squared norm
+        # overflows unless the solver works on a rescaled H
+        from sgslab.cli import main
+
+        h = build_ising(IsingSpec.chain(9, 1.0, 1e300))
+        want = np.linalg.eigvalsh(dense_hamiltonian(h))[:2]
+        got = block_lanczos(h, 2)
+        np.testing.assert_allclose(got.eigenvalues, want, rtol=1e-14, atol=0)
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--chain", "9", "--h3", "1e300", "--out", str(out)]) == 0
+        gap = json.loads((out / "result.json").read_text())["gap_exact"]
+        assert gap == pytest.approx(want[1] - want[0], rel=1e-12)
+
+    def test_power_of_two_rescaling_is_exact(self):
+        # the solver runs on H / 2^e, so H and 2^40 H take the same steps
+        h = _krylov_cases()[4]
+        a, b = block_lanczos(h, 2), block_lanczos(h.scaled(2.0**40), 2)
+        assert np.ldexp(a.eigenvalues, 40).tobytes() == b.eigenvalues.tobytes()
         assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
 
     def test_dense_path_is_a_slice_of_exact_spectrum(self):
