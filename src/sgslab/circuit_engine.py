@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -280,15 +281,24 @@ class StateVector:
         return float(abs(np.vdot(np.asarray(amps), self.amplitudes)) ** 2)
 
 
+@lru_cache(maxsize=128)
 def _rotation_plan(qubits, axes, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(src, -i factor) of a Pauli word on the whole register."""
+    """(src, -i factor) of a Pauli word on the whole register, read-only.
+
+    Cached, so a point derives each word once for its thermalization,
+    window pilot and series. Only rotation words come here: a search over
+    every word goes through ``pauli_plan`` and would fill the cache.
+    """
     full_axes = [0] * num_qubits
     for q, a in zip(qubits, axes):
         if not 0 <= q < num_qubits:
             raise ValueError(f"gate targets qubit {q}, out of range for {num_qubits} qubits")
         full_axes[q] = a
     src, factor = pauli_plan(full_axes)
-    return src, -1j * factor
+    phase = -1j * factor
+    src.setflags(write=False)
+    phase.setflags(write=False)
+    return src, phase
 
 
 def _rotate(amps: np.ndarray, src: np.ndarray, phase: np.ndarray, cos, sin) -> None:
@@ -526,7 +536,7 @@ class StepPlan:
 
     Rotation r turns by ``slopes[r] * dt + intercepts[r]`` at step length
     dt about the word ``words[r]``, given as (qubits, axes); each kernel
-    builds its own per-word tables from ``words``, once per call.
+    derives its own per-word tables from ``words``.
     ``channels[r]`` is ``(targets, p)``, the depolarizing channels that
     follow rotation r: the last rotation of each gate carries the gate's
     targets when the plan's noise model gives it p > 0, every other
@@ -666,87 +676,227 @@ def run_adiabatic(
     array in place, one rotation of ``compile_adiabatic`` at a time.
 
     No gate is built, and each rotation is applied as ``_run_gates``
-    applies it, so the result is bit for bit that of ``run_circuit``. Each
-    distinct word's gather is derived once per call.
+    applies it, so the result is bit for bit that of ``run_circuit``.
     """
     plan = compile_adiabatic(h0, h, tau, n_steps)
     n = columns.shape[0].bit_length() - 1
-    gathers = {word: _rotation_plan(*word, n) for word in dict.fromkeys(plan.words)}
     for word, theta in zip(plan.words, plan.intercepts.tolist()):
-        src, phase = gathers[word]
+        src, phase = _rotation_plan(*word, n)
         _rotate(columns, src, phase[:, None], math.cos(theta / 2), math.sin(theta / 2))
     return columns
 
 
-def _flip_mask_blocks(
-    plan: StepPlan, cos: np.ndarray, sin: np.ndarray, num_qubits: int
-) -> list[tuple[np.ndarray | None, np.ndarray, np.ndarray]]:
-    """The plan's rotations at the given ``half_angle_trig`` fused into
-    blocks (src, A, B), each acting on (2^n, T) columns of ``num_qubits``
-    qubits as v <- A v + B v[src]; each distinct word's gather is derived
-    once per call.
+def _batch_qubits(columns: np.ndarray, n_steps: int, radix: int = 2) -> int:
+    """The qubit count of a C-contiguous batch of ``radix``^n rows that a
+    kernel advances by ``n_steps`` >= 0 steps; ValueError otherwise."""
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    rows = columns.shape[0]
+    n = (rows.bit_length() - 1) // (radix.bit_length() - 1)
+    if rows != radix**n:
+        raise ValueError(f"columns have {rows} rows, not a power of {radix}")
+    if not columns.flags.c_contiguous:
+        raise ValueError("columns must be C-contiguous")
+    return n
 
-    A rotation with flip mask a is v <- c v + s phase v[x ^ a], and such
-    operators compose in closed form because v[src][src] = v: after
-    (A, B) it gives A' = c A + s phase B[src], B' = c B + s phase A[src].
-    A diagonal rotation (a = 0) is one factor d = c + s phase on both A
-    and B. So each run of consecutive rotations whose masks are all 0 or
-    one a is one block. A diagonal rotation joins the block before it, or
-    the first block when it leads; ``src`` is None only when every
-    rotation is diagonal.
+
+@lru_cache(maxsize=1024)
+def _flip_index(mask: int, num_qubits: int) -> tuple[slice, ...]:
+    """The basic index that reverses the axes of the (2,)*n + (T,) view of
+    a batch set in flip mask ``mask``; qubit 0 is the most significant bit.
+    Cached: a step's build takes hundreds of flipped views, and forming
+    each index anew cost a third of the He2 build."""
+    return tuple(
+        slice(None, None, -1) if mask >> (num_qubits - 1 - q) & 1 else slice(None)
+        for q in range(num_qubits)
+    )
+
+
+def _flipped(v: np.ndarray, mask: int) -> np.ndarray:
+    """v[x ^ mask] of a (2,)*n + (T,) array, as a view."""
+    return v[_flip_index(mask, v.ndim - 1)]
+
+
+def _halves(v: np.ndarray, mask: int) -> tuple[np.ndarray, np.ndarray]:
+    """The views of v whose leading bit of ``mask`` is 0 and 1, each keeping
+    that axis at length 1, so ``_flipped`` by the whole mask flips the
+    rest. Flipping by the mask maps each half onto the other."""
+    axis = (v.ndim - 1) - mask.bit_length()
+    lead = (slice(None),) * axis
+    return v[lead + (slice(0, 1),)], v[lead + (slice(1, 2),)]
+
+
+def _opens_block(masks) -> list[bool]:
+    """For each rotation flip mask, whether its rotation opens a new block
+    of ``_flip_mask_blocks``: a block takes a run of masks that are all 0
+    or one a, and a leading diagonal run joins the first block."""
+    opens, current = [], None
+    for mask in masks:
+        opens.append(current is None or bool(mask) and current not in (0, mask))
+        current = mask if mask or opens[-1] else current
+    return opens
+
+
+def _flip_mask_blocks(plan: StepPlan, cos: np.ndarray, sin: np.ndarray, num_qubits: int):
+    """The plan's rotations at the given ``half_angle_trig`` fused into
+    blocks (a, A, B), each acting on (2,)*n + (T,) columns of
+    ``num_qubits`` qubits as v <- A v + B v[x ^ a]; yielded one at a time,
+    each run of rotations that ``_opens_block`` marks as one ``_block``.
     """
-    gathers = {word: _rotation_plan(*word, num_qubits) for word in dict.fromkeys(plan.words)}
-    blocks = []  # [mask, src, A, B]; mask 0 while the block is diagonal
-    for word, c, s in zip(plan.words, cos, sin):
-        src, phase = gathers[word]
-        mask = int(src[0])
-        if not blocks or mask and blocks[-1][0] not in (0, mask):
-            ones = np.ones((src.size, c.size), complex)
-            blocks.append([0, None, ones, np.zeros_like(ones)])
-        block = blocks[-1]
-        a, b = block[2], block[3]
-        turn = s * phase[:, None]
+    words = [_rotation_plan(*word, num_qubits) for word in plan.words]
+    masks = [int(src[0]) for src, _ in words]
+    starts = [r for r, opens in enumerate(_opens_block(masks)) if opens] + [len(words)]
+    for lo, hi in zip(starts, starts[1:]):
+        phases = [phase for _, phase in words[lo:hi]]
+        yield _block(masks[lo:hi], phases, cos[lo:hi], sin[lo:hi])
+
+
+def _block(masks, phases, cos, sin) -> tuple[int, np.ndarray, np.ndarray]:
+    """One block (a, A, B) from rotations whose flip masks are all 0 or a.
+
+    A rotation with flip mask a is v <- c v + t v[x ^ a], t = s phase, and
+    such operators compose in closed form because flipping twice is the
+    identity: after (A, B) it gives A' = c A + t B[x ^ a],
+    B' = c B + t A[x ^ a]. A diagonal rotation (a = 0) is one factor
+    d = c + t on both A and B; a stays 0 only when every rotation is
+    diagonal.
+
+    Half h of A' reads only half h of A and half 1 - h of B (``_halves``),
+    and so does half 1 - h of B'. So a rotation updates those two halves
+    at a time, and the build needs one batch of scratch besides the block.
+    Every entry is formed by the same products, in the same order, as
+    whole arrays would give.
+    """
+    shape = (2,) * (phases[0].size.bit_length() - 1)
+    a = np.ones(shape + (cos.shape[1],), complex)
+    b = np.zeros_like(a)
+    turn = np.empty_like(a)
+    block_mask = 0
+    for mask, phase, c, s in zip(masks, phases, cos, sin):
+        phase = phase.reshape(shape + (1,))
         if mask == 0:
+            _turn(turn, s, phase)
             turn += c
             a *= turn
             b *= turn
             continue
-        # in place, so the build holds three temporaries besides the blocks
-        block[0], block[1] = mask, src
-        flipped_a = a[src]
-        flipped_a *= turn
-        turn *= b[src]
-        a *= c
-        a += turn
-        b *= c
-        b += flipped_a
-    return [(src, a, b) for _, src, a, b in blocks]
+        block_mask = mask
+        for h, (a_half, b_half) in enumerate(zip(_halves(a, mask), _halves(b, mask)[::-1])):
+            # half h of A' and half 1 - h of B', their products formed in
+            # the two halves of t
+            t_a, t_b = _halves(_turn(turn, s, phase), mask)[:: 1 - 2 * h]
+            t_a *= _flipped(b_half, mask)
+            np.multiply(_flipped(a_half, mask), t_b, out=t_b)
+            a_half *= c
+            a_half += t_a
+            b_half *= c
+            b_half += t_b
+    return block_mask, a, b
+
+
+def _turn(out: np.ndarray, s: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """t = s phase into ``out``: s times the phase column, without numpy's
+    double-broadcast buffers."""
+    out[...] = s
+    out *= phase
+    return out
+
+
+def _fold(op: dict[int, np.ndarray], mask: int, a: np.ndarray, b: np.ndarray) -> None:
+    """``op`` followed by the block v <- a v + b v[x ^ mask], in place:
+    C'_m = a C_m + b C_(m ^ mask)[x ^ mask] for every flip mask m. The mask
+    is nonzero: a diagonal block is the whole step, never folded.
+
+    A pair (C_m, C_(m ^ mask)) is updated as ``_block`` updates (A, B), two
+    opposite halves at a time, with one batch of scratch.
+    """
+    scratch = np.empty_like(a)
+    into_m, into_partner = _halves(scratch, mask)
+    a_halves, b_halves = _halves(a, mask), _halves(b, mask)
+    for m in list(op):
+        partner = m ^ mask
+        if partner in op and partner < m:
+            continue  # folded with its partner
+        c_m = op[m]
+        if partner not in op:
+            op[partner] = _flipped(c_m, mask) * b
+            c_m *= a
+            continue
+        m_halves, partner_halves = _halves(c_m, mask), _halves(op[partner], mask)
+        for h in (0, 1):
+            x, y = m_halves[h], partner_halves[1 - h]
+            np.multiply(_flipped(y, mask), b_halves[h], out=into_m)
+            np.multiply(_flipped(x, mask), b_halves[1 - h], out=into_partner)
+            x *= a_halves[h]
+            x += into_m
+            y *= a_halves[1 - h]
+            y += into_partner
+
+
+def _step_operators(
+    plan: StepPlan, cos: np.ndarray, sin: np.ndarray, num_qubits: int
+) -> list[dict[int, np.ndarray]]:
+    """The step at the given ``half_angle_trig`` as operators applied in
+    turn, each a map {flip mask m: C_m} acting on (2,)*n + (T,) columns as
+    v <- sum_m C_m v[x ^ m].
+
+    A block (a, A, B) of ``_flip_mask_blocks`` is the operator {0: A, a: B}
+    ({0: A} when a = 0). Blocks fold into one operator over the group G
+    that the words' flip masks generate (``_fold``), as soon as each is
+    built. That operator costs 2|G| - 1 passes over the columns per step
+    against 3 per block, so the step is folded only when that is no more.
+    """
+    masks = [int(_rotation_plan(*word, num_qubits)[0][0]) for word in plan.words]
+    group = {0}
+    for mask in masks:
+        if mask not in group:
+            group |= {g ^ mask for g in group}
+    fuse = 2 * len(group) - 1 <= 3 * sum(_opens_block(masks))
+    ops = []
+    for mask, a, b in _flip_mask_blocks(plan, cos, sin, num_qubits):
+        if fuse and ops:
+            _fold(ops[0], mask, a, b)
+        else:
+            ops.append({0: a, mask: b} if mask else {0: a})
+        del a, b  # a folded block is freed before the next is built
+    return ops
 
 
 def evolve_columns(
     plan: StepPlan, columns: np.ndarray, dts, n_steps: int = 1
 ) -> np.ndarray:
-    """Advance column k of a (2^n, T) array by ``n_steps`` steps of length
-    ``dts[k]``, in place.
+    """Advance column k of a C-contiguous (2^n, T) array by ``n_steps``
+    steps of length ``dts[k]``, in place.
 
-    The step's rotations are fused once per call into flip-mask blocks
-    (``_flip_mask_blocks``); each step then costs one gather, two
-    multiplies and one add per block across all columns. This is the same
-    product of rotations that ``run_circuit`` applies one by one,
-    regrouped, so the two agree to rounding (1e-12 in the tests), not bit
-    for bit. The plan's noise channels do not apply to pure states.
+    The step is built once per call as flip-mask operators
+    (``_step_operators``). Each step then applies every operator
+    v <- C_0 v + sum_(m != 0) C_m v[x ^ m] in place: the flipped terms,
+    read from views of the (2,)*n + (T,) reshape of the columns, are
+    summed into a buffer before v is scaled, so an operator of k terms
+    costs 2k - 1 passes. This is the same product of rotations that
+    ``run_circuit`` applies one by one, regrouped, so the two agree to
+    rounding (1e-12 in the tests), not bit for bit. The plan's noise
+    channels do not apply to pure states.
     """
+    n = _batch_qubits(columns, n_steps)
     cos, sin = plan.half_angle_trig(dts, columns.shape[-1])
-    blocks = _flip_mask_blocks(plan, cos, sin, columns.shape[0].bit_length() - 1)
+    v = columns.reshape((2,) * n + (columns.shape[-1],))
+    stages = []  # (C_0, first flipped view or None, its C, the other flipped terms)
+    for op in _step_operators(plan, cos, sin, n):
+        flips = [(_flipped(v, mask), c) for mask, c in op.items() if mask]
+        stages.append((op[0], *(flips[0] if flips else (None, None)), flips[1:]))
+    acc, term = np.empty_like(v), np.empty_like(v)
     for _ in range(n_steps):
-        for src, a, b in blocks:
-            if src is None:
-                columns *= a
+        for diagonal, view, c, rest in stages:
+            if view is None:
+                v *= diagonal
                 continue
-            flipped = columns[src]
-            flipped *= b
-            columns *= a
-            columns += flipped
+            np.multiply(view, c, out=acc)
+            for flipped, coeff in rest:
+                np.multiply(flipped, coeff, out=term)
+                acc += term
+            v *= diagonal
+            v += acc
     return columns
 
 

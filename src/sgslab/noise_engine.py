@@ -21,6 +21,7 @@ from .circuit_engine import (
     ExpectationSample,
     StateVector,
     StepPlan,
+    _batch_qubits,
     compile_gates,
     readout_word,
 )
@@ -243,9 +244,7 @@ def evolve_transfer(plan: StepPlan, columns: np.ndarray, dts, n_steps: int = 1) 
     words that are not the identity on q by (1 - p): one strided multiply
     per target after the gate's last rotation.
     """
-    if not columns.flags.c_contiguous:
-        raise ValueError("Pauli columns must be C-contiguous")
-    n = (columns.shape[0].bit_length() - 1) // 2
+    n = _batch_qubits(columns, n_steps, radix=4)
     cos, sin = plan.half_angle_trig(dts, columns.shape[-1])
     cos, sin = (cos - sin) * (cos + sin), 2.0 * cos * sin
     tables = {word: _rotation_table(*word, n) for word in dict.fromkeys(plan.words)}

@@ -72,11 +72,25 @@ def _read_only(eigenvalues: np.ndarray, eigenvectors: np.ndarray, scale: float) 
     return SpectrumResult(eigenvalues, eigenvectors, max(scale, 1e-300))
 
 
+def _is_real(entries) -> bool:
+    """Whether no array of matrix entries has an imaginary part: then both
+    solvers work in real arithmetic. A sum of words with even Y counts is
+    a real matrix."""
+    return not any(np.any(x.imag) for x in entries)
+
+
 @lru_cache(maxsize=128)
 def exact_spectrum(h: QubitHamiltonian) -> SpectrumResult:
-    """Full Hermitian eigendecomposition of the dense Hamiltonian."""
+    """Full Hermitian eigendecomposition of the dense Hamiltonian, as a
+    real symmetric one when it is real (``_is_real``); the eigenvectors are
+    complex columns either way."""
     check_oracle_size(h.num_qubits)
-    eigenvalues, eigenvectors = np.linalg.eigh(h.to_dense())
+    matrix = h.to_dense()
+    if _is_real([matrix]):
+        eigenvalues, eigenvectors = np.linalg.eigh(matrix.real)
+        eigenvectors = eigenvectors.astype(complex)
+    else:
+        eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     return _read_only(eigenvalues, eigenvectors, float(np.max(np.abs(eigenvalues))))
 
 
@@ -110,6 +124,12 @@ def _random_block(rng: np.random.Generator, dim: int, width: int, dtype) -> np.n
     return block / np.linalg.norm(block, axis=0)
 
 
+def _coefficients(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """basis^H w, C-ordered: ``basis @`` it runs about 3x faster than on
+    the F-ordered transpose the product comes out as."""
+    return np.ascontiguousarray((w.conj().T @ basis).conj().T)
+
+
 def _next_block(basis: np.ndarray, w: np.ndarray, floor: float, rng) -> np.ndarray:
     """Orthonormal columns orthogonal to ``basis`` that span the directions
     of ``w`` (already orthogonal to the basis) above ``floor``.
@@ -128,7 +148,7 @@ def _next_block(basis: np.ndarray, w: np.ndarray, floor: float, rng) -> np.ndarr
         # the basis, so project the unit columns out twice more; a column
         # left shorter than 1e-3 lay inside the basis and is drawn again
         for _ in range(2):
-            block -= basis @ (block.conj().T @ basis).conj().T
+            block -= basis @ _coefficients(basis, block)
         u, s, _ = np.linalg.svd(block, full_matrices=False)
         block = u[:, : np.count_nonzero(s > 1e-3)]
         if block.shape[1] == width:
@@ -150,8 +170,7 @@ def block_lanczos(h: QubitHamiltonian, k: int) -> SpectrumResult:
     if not 1 <= k <= dim:
         raise ValueError(f"need 1 <= k <= {dim}, got {k}")
     plan = h.flip_plan()
-    # a sum of words with even Y counts is a real matrix: work in real arithmetic
-    dtype = complex if any(diag.imag.any() for _, diag in plan) else float
+    dtype = float if _is_real(diag for _, diag in plan) else complex
     one_norm = h.coeff_one_norm()
     # run on H / 2^e with 2^e just above the 1-norm: a power of two scales
     # every product exactly, and column norms of the scaled blocks cannot
@@ -179,7 +198,7 @@ def block_lanczos(h: QubitHamiltonian, k: int) -> SpectrumResult:
         w = _apply(plan, block)
         coeffs = np.zeros((m + width, width), dtype=dtype)
         for _ in range(2):
-            c = (w.conj().T @ basis).conj().T
+            c = _coefficients(basis, w)
             w -= basis @ c
             coeffs += c
         coeffs[m:] = 0.5 * (coeffs[m:] + coeffs[m:].conj().T)

@@ -193,6 +193,23 @@ def exact_evolve(state, h, t):
     return StateVector(state.num_qubits, vectors @ coeffs)
 
 
+def search_reference(h: QubitHamiltonian, i: int, j: int) -> np.ndarray:
+    """Oracle: <level j| P |level i> for every Pauli word in lexicographic
+    order, the levels from a complex ``np.linalg.eigh`` of
+    ``dense_hamiltonian``. The outer product conj(v_j) v_i, with each
+    qubit's row and column index paired, is contracted with the literal
+    2x2 matrices one qubit at a time."""
+    n = h.num_qubits
+    _, vectors = np.linalg.eigh(dense_hamiltonian(h))
+    assert vectors.dtype == complex
+    pair = np.multiply.outer(vectors[:, j].conj(), vectors[:, i]).reshape((2,) * (2 * n))
+    pair = pair.transpose([k for q in range(n) for k in (q, n + q)]).reshape((4,) * n)
+    sigma = np.array([SIGMA[c].reshape(4) for c in AXIS_TO_CHAR])
+    for q in range(n):
+        pair = np.moveaxis(np.tensordot(sigma, pair, axes=([1], [q])), 0, q)
+    return pair.reshape(-1)
+
+
 def top_tied_words(records, rel_tol=1e-9) -> set[str]:
     """Words of search records whose rho ties the maximum within a
     relative tolerance."""

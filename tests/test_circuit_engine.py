@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from conftest import (
 from sgslab.circuit_engine import (
     _flip_mask_blocks,
     _run_gates,
+    _step_operators,
     Circuit,
     StateVector,
     adiabatic_circuit,
@@ -431,9 +433,9 @@ class TestStepKernel:
         h = self.fused_case(name, rng)
         plan = compile_step(h)
         dts = np.array([0.04, 0.17])
-        fused = _flip_mask_blocks(plan, *plan.half_angle_trig(dts, len(dts)), h.num_qubits)
+        fused = list(_flip_mask_blocks(plan, *plan.half_angle_trig(dts, len(dts)), h.num_qubits))
         assert (len(fused), len(plan.words)) == (blocks, rotations)
-        assert (fused[0][0] is None) == (name == "diagonal")
+        assert (fused[0][0] == 0) == (name == "diagonal")
         start = np.column_stack([random_state(rng, h.num_qubits) for _ in dts])
         columns = evolve_columns(plan, start.copy(), dts, n_steps=3)
         np.testing.assert_allclose(columns, self.gate_loop(h, start, dts, 3), atol=1e-12)
@@ -441,7 +443,60 @@ class TestStepKernel:
     def test_blocks_follow_mask_runs(self, rng):
         plan = compile_step(self.fused_case("mixed", rng))
         fused = _flip_mask_blocks(plan, *plan.half_angle_trig([0.1], 1), 5)
-        assert [int(src[0]) for src, _, _ in fused] == [0b01000, 0b01001, 0b01000, 0b10000]
+        assert [mask for mask, _, _ in fused] == [0b01000, 0b01001, 0b01000, 0b10000]
+
+    @pytest.mark.parametrize("name, masks", [
+        ("he2_r100", [[0, 15, 51, 60, 195, 204, 240, 255]]),
+        ("ising4", [[0, 0b0011], [0, 0b1100], [0, 0b0110], [0, 0b1001]]),
+        ("mixed", [[0, 0b01000], [0, 0b01001], [0, 0b01000], [0, 0b10000]]),
+        ("h2_r0735", None),
+        ("diagonal", [[0]]),
+    ])
+    def test_step_folds_only_when_it_saves_passes(self, rng, name, masks):
+        # he2: 16 blocks over a group of 8 masks, 15 passes against 48; the
+        # chains and the mixed case would pay 15 against 12
+        h = self.fused_case(name, rng)
+        plan = compile_step(h)
+        ops = _step_operators(plan, *plan.half_angle_trig([0.1, 0.2], 2), h.num_qubits)
+        if masks is None:  # one block: folded or not, the same operator
+            assert len(ops) == 1 and len(ops[0]) == 2
+        else:
+            assert [sorted(op) for op in ops] == masks
+        assert all(c.shape == (2,) * h.num_qubits + (2,) for op in ops for c in op.values())
+
+    def test_fused_step_memory(self, rng):
+        # the fused he2 step holds its 8 coefficient arrays plus one block
+        # and one batch of scratch while it builds, and two buffers while
+        # it steps: never all 16 blocks (32 batches)
+        h = self.fused_case("he2_r100", rng)
+        plan = compile_step(h)
+        dts = np.linspace(0.01, 0.3, 35)
+        columns = np.column_stack([random_state(rng, 8) for _ in dts])
+        evolve_columns(plan, columns.copy(), dts, 2)  # rotation plans cached
+        tracemalloc.start()
+        try:
+            evolve_columns(plan, columns, dts, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (8 + 5) * columns.nbytes
+
+    def test_rejects_negative_steps(self, rng):
+        plan = compile_step(self.fused_case("mixed", rng))
+        with pytest.raises(ValueError, match="n_steps must be >= 0, got -2"):
+            evolve_columns(plan, np.zeros((32, 2), complex), [0.1, 0.2], -2)
+
+    def test_rejects_rows_not_power_of_two(self):
+        plan = compile_step(QubitHamiltonian.from_terms(2, [("XZ", 0.3)]))
+        with pytest.raises(ValueError, match="6 rows, not a power of 2"):
+            evolve_columns(plan, np.zeros((6, 2), complex), [0.1, 0.2])
+
+    def test_rejects_non_contiguous_columns(self, rng):
+        # a reshape would otherwise evolve a silent copy
+        plan = compile_step(self.fused_case("mixed", rng))
+        columns = np.zeros((2, 32), complex).T
+        with pytest.raises(ValueError, match="C-contiguous"):
+            evolve_columns(plan, columns, [0.1, 0.2])
 
     @pytest.mark.parametrize("dts, n_steps", [
         ([0.23], 5),

@@ -490,6 +490,16 @@ class TestDensityKernel:
         with pytest.raises(ValueError, match="C-contiguous"):
             evolve_transfer(plan, np.zeros((16, 4))[:, ::2], [0.0, 0.0])
 
+    def test_rejects_negative_steps(self):
+        plan = compile_gates([rz(0, 0.3)], 2, aria_noise_model())
+        with pytest.raises(ValueError, match="n_steps must be >= 0, got -1"):
+            evolve_transfer(plan, np.zeros((16, 2)), [0.1, 0.2], n_steps=-1)
+
+    def test_rejects_rows_not_power_of_four(self):
+        plan = compile_gates([rz(0, 0.3)], 1, aria_noise_model())
+        with pytest.raises(ValueError, match="8 rows, not a power of 4"):
+            evolve_transfer(plan, np.zeros((8, 2)), [0.1, 0.2])
+
     def test_native_step_with_y_and_three_site_terms(self, rng):
         h = QubitHamiltonian.from_terms(
             3, [("YIZ", 0.6), ("XYX", -0.45), ("IZZ", 0.3), ("YII", 0.25), ("XXI", 0.8)]

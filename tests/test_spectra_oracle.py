@@ -8,14 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    DATA_DIR,
     dense_hamiltonian,
     dense_pauli,
     random_hamiltonian,
     random_state,
+    search_reference,
     top_tied_words,
 )
 
-from sgslab.hamiltonians import IsingSpec, build_ising
+from sgslab.hamiltonians import IsingSpec, build_ising, load_qubit_hamiltonian
 from sgslab.pauli_core import PauliString, QubitHamiltonian, apply_pauli
 from sgslab.spectra_oracle import (
     DegenerateLevelsError,
@@ -30,6 +32,19 @@ from sgslab.spectra_oracle import (
     search_report_csv,
     sgs_closed_form,
 )
+
+
+def _spy_eigh(monkeypatch) -> list:
+    """Record the dtype of every matrix ``np.linalg.eigh`` is given."""
+    solved = []
+    eigh = np.linalg.eigh
+
+    def spy(matrix):
+        solved.append(matrix.dtype.type)
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return solved
 
 
 class TestExactSpectrum:
@@ -57,6 +72,28 @@ class TestExactSpectrum:
         np.testing.assert_allclose(rebuilt, dense_hamiltonian(h), atol=1e-9)
         gram = spectrum.eigenvectors.conj().T @ spectrum.eigenvectors
         np.testing.assert_allclose(gram, np.eye(8), atol=1e-9)
+
+    @pytest.mark.parametrize("case", ["chain6", "he2"])
+    def test_real_matrix_in_real_arithmetic(self, monkeypatch, case):
+        h = (build_ising(IsingSpec.chain(6, 1.0, 2.4)) if case == "chain6"
+             else load_qubit_hamiltonian(DATA_DIR / "molecules" / "he2_r100.qubits.txt"))
+        solved = _spy_eigh(monkeypatch)
+        spectrum = exact_spectrum.__wrapped__(h)
+        assert solved == [np.float64]
+        want = np.linalg.eigvalsh(dense_hamiltonian(h))
+        np.testing.assert_allclose(spectrum.eigenvalues, want, rtol=0, atol=1e-12 * spectrum.scale)
+        vectors = spectrum.eigenvectors
+        assert vectors.dtype == complex
+        residual = dense_hamiltonian(h) @ vectors - vectors * spectrum.eigenvalues
+        assert np.abs(residual).max() <= 1e-12
+
+    def test_odd_y_word_stays_complex(self, monkeypatch):
+        h = QubitHamiltonian.from_terms(3, [("ZZI", 1.0), ("IXX", 0.5), ("YZI", 0.4)])
+        solved = _spy_eigh(monkeypatch)
+        spectrum = exact_spectrum.__wrapped__(h)
+        assert solved == [np.complex128]
+        rebuilt = spectrum.eigenvectors * spectrum.eigenvalues @ spectrum.eigenvectors.conj().T
+        np.testing.assert_allclose(rebuilt, dense_hamiltonian(h), atol=1e-12)
 
     def test_oracle_limit_respected(self, monkeypatch):
         monkeypatch.setenv("SGSLAB_ORACLE_LIMIT", "2")
@@ -166,6 +203,22 @@ class TestObservableSearch:
         h = QubitHamiltonian.from_terms(8, [("ZZZZZZZZ", 1.0), ("XIIIIIII", 0.3)])
         with pytest.raises(ValueError, match="exhaustive"):
             observable_search(h, 0, 1, family="all")
+
+    def test_real_solver_matches_complex_reference(self):
+        # the dense levels of a real H come from a real eigh; the search
+        # sees them only through the gauge of level i and level j
+        h = build_ising(IsingSpec.chain(7, 1.0, 2.4))
+        records = observable_search(h, 0, 1, family="all")
+        got = {r.word: (r.rho, r.theta) for r in records}
+        words = ["".join(w) for w in itertools.product("IXYZ", repeat=7)]
+        want = search_reference(h, 0, 1)
+        rho = np.array([got[w][0] for w in words])
+        np.testing.assert_allclose(rho, np.abs(want), rtol=0, atol=1e-12)
+        coherent = np.abs(want) > 1e-9
+        theta = np.array([got[w][1] for w in words])[coherent]
+        shift = (theta - np.angle(want[coherent])) % (2 * np.pi)
+        gauge = min((0.0, np.pi, 2 * np.pi), key=lambda g: abs(shift[0] - g))
+        np.testing.assert_allclose(shift, gauge, rtol=0, atol=1e-9)
 
     def test_report_csv_shape(self):
         h = build_ising(IsingSpec.chain(2, 1.0, 2.0))
