@@ -107,6 +107,15 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _out_dir(args) -> Path:
+    """The --out directory, created with its parents when missing."""
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from None
+    return Path(args.out)
+
+
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -251,6 +260,8 @@ def _ising_points(raw: dict, config_dir: Path) -> list[tuple]:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"config.{key}: expected an integer, got {value!r}")
     j1 = _number(raw.get("j1", 1.0), "config.j1")
+    if j1 == 0.0:
+        raise ConfigError("config.j1: must be nonzero; h3 = ratio * j1 leaves no term at j1 = 0")
     sweep = _require(raw, "sweep", "config")
     if not isinstance(sweep, list) or not sweep:
         raise ConfigError("config.sweep: expected a non-empty list of h3/J1 values")
@@ -262,9 +273,12 @@ def _ising_points(raw: dict, config_dir: Path) -> list[tuple]:
             check_oracle_size(spec.num_sites)
         except ValueError as exc:
             raise ConfigError(f"config: {exc}") from None
+        h = build_ising(spec)
+        if not math.isfinite(h.coeff_one_norm()):
+            raise ConfigError(f"config.sweep[{idx}]: {ratio!r} overflows H's coefficient 1-norm")
         observable = ising_observable(spec.num_sites)
         entry = {"label": f"{ratio:g}", "h3_over_j1": ratio, "observable": observable.word}
-        points.append((entry, build_ising(spec), ising_auxiliary(spec), observable, None))
+        points.append((entry, h, ising_auxiliary(spec), observable, None))
     return points
 
 
@@ -358,6 +372,8 @@ def _sweep_csv(rows: list[dict], key_column: str) -> str:
 def cmd_study(args) -> int:
     """Run every point of an ``ising`` or ``molecule`` config and write
     the outputs; returns 1 when any point failed to fit."""
+    if args.workers < 1:
+        raise ConfigError(f"--workers: expected an integer >= 1, got {args.workers}")
     loaded = load_config(Path(args.config))
     if loaded.study != args.command:
         raise ConfigError(f"config.study: expected {args.command!r} for this command")
@@ -365,14 +381,13 @@ def cmd_study(args) -> int:
     points = read_points(loaded.raw, loaded.config_dir)
     cfg = _experiment_config(loaded, args)
     jobs = [(loaded.study, cfg, point) for point in points]
+    out_dir = _out_dir(args)
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=min(args.workers, len(jobs))) as pool:
             results = list(pool.map(_run_point, jobs))
     else:
         results = [_run_point(job) for job in jobs]
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = [row for row, _ in results]
     for row, series in results:
         if series is not None:
@@ -427,8 +442,7 @@ def cmd_search(args) -> int:
         raise ConfigError(f"--family: {exc}") from None
     except DegenerateLevelsError as exc:
         raise ConfigError(f"--levels: {exc}") from None
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     _write_atomic(out_dir / "search.csv", search_report_csv(records))
     write_manifest(out_dir, args.argv, _args_snapshot(args) | {"tool": "search"}, 0, paths)
     best = records[0]
@@ -439,8 +453,7 @@ def cmd_search(args) -> int:
 def cmd_benchmark(args) -> int:
     h, paths = _hamiltonian_from_args(args)
     gap = benchmark_gap(h, args.levels[0], args.levels[1])
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     payload = {"levels": list(args.levels), "gap_exact": gap}
     _write_atomic(out_dir / "result.json", _json_text(payload))
     write_manifest(out_dir, args.argv, _args_snapshot(args) | {"tool": "benchmark"}, 0, paths)
@@ -462,8 +475,7 @@ def cmd_fit(args) -> int:
     if args.freq_hint is not None and not 0.0 < args.freq_hint < math.inf:
         raise ConfigError(f"--freq-hint: expected a finite number > 0, got {args.freq_hint!r}")
     fit = fit_gap(series, freq_hint=args.freq_hint)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     _write_atomic(out_dir / "result.json", _json_text({"fit": fit.to_dict()}))
     write_manifest(out_dir, args.argv, {"series": str(path)}, 0, [path])
     print(f"gap = {fit.gap:.9g} +- {fit.gap_err:.3g} (rho = {fit.rho:.4g})")

@@ -1,13 +1,16 @@
-"""Density-matrix simulation under a hardware-inspired noise model.
+"""Mixed-state simulation under a hardware-inspired noise model.
 
 Every gate of a native-compiled circuit is followed by single-qubit
 depolarizing channels on its targets, with the depolarizing probability
 derived from the average gate fidelity and the relaxation times; readout
-applies independent symmetric bit flips per measured qubit.
+applies independent symmetric bit flips per measured qubit. States are
+real columns of 4^n Pauli coefficients; ``DensityMatrix`` is only the
+dense form that ``run_noisy`` and ``sample_expectation_noisy`` take.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import warnings
@@ -206,6 +209,11 @@ def density_from_pauli(coeffs: np.ndarray) -> np.ndarray:
     return tensor.reshape(1 << n, 1 << n)
 
 
+def zero_state_coefficients(num_qubits: int) -> np.ndarray:
+    """|0...0><0...0|'s Pauli coefficients: 1 on every word of I and Z only."""
+    return functools.reduce(np.kron, [[1.0, 0.0, 0.0, 1.0]] * num_qubits, np.ones(1))
+
+
 def word_index(axes) -> int:
     """Row of the Pauli word with these axes in a column of coefficients."""
     index = 0
@@ -293,57 +301,40 @@ def measurement_probs(columns: np.ndarray, o: PauliString) -> np.ndarray:
 
 
 def run_noisy(
-    circuit: Circuit,
-    noise: NoiseModel,
-    initial: DensityMatrix | None = None,
-    max_qubits: int = DEFAULT_DENSITY_QUBIT_LIMIT,
+    circuit: Circuit, noise: NoiseModel, initial: DensityMatrix | None = None
 ) -> DensityMatrix:
     """Simulate a native-compiled circuit as a density matrix.
 
     Each 1-qubit gate is followed by one depolarizing channel on its
     target; each 2-qubit gate by one channel on each participant. Gates
     on three or more qubits are rejected (compile to natives first). The
-    circuit runs as one plan (``run_noisy_plan``); ``initial`` is updated
-    in place and returned.
+    circuit runs as one plan on ``initial`` (|0...0> when None) in the
+    Pauli basis (``evolve_transfer`` at dt = 0); ``initial`` is updated in
+    place and returned.
     """
-    check_density_size(circuit.num_qubits, max_qubits)
+    check_density_size(circuit.num_qubits)
     for g in circuit.gates:
         if g.num_targets > 2:
             raise ValueError(
                 f"gate {g.name} acts on {g.num_targets} qubits; run_noisy needs "
                 "a native-compiled circuit"
             )
-    plan = compile_gates(circuit.gates, circuit.num_qubits, noise)
-    return run_noisy_plan(plan, circuit.num_qubits, initial, max_qubits)
-
-
-def check_density_size(num_qubits: int, max_qubits: int = DEFAULT_DENSITY_QUBIT_LIMIT) -> None:
-    """Refuse a density matrix over more than ``max_qubits`` qubits."""
-    if num_qubits > max_qubits:
-        raise ValueError(
-            f"density-matrix simulation limited to {max_qubits} qubits "
-            f"(circuit has {num_qubits}); memory grows as 4^n"
-        )
-
-
-def run_noisy_plan(
-    plan: StepPlan,
-    num_qubits: int,
-    initial: DensityMatrix | None = None,
-    max_qubits: int = DEFAULT_DENSITY_QUBIT_LIMIT,
-) -> DensityMatrix:
-    """Run a plan of fixed angles (every slope 0, as ``compile_gates``
-    gives for a fixed circuit, with its noise channels) on ``initial``
-    (|0...0> when None) in the Pauli basis (``evolve_transfer`` at dt = 0);
-    ``initial`` is updated in place and returned."""
-    check_density_size(num_qubits, max_qubits)
-    rho = DensityMatrix.zero_state(num_qubits) if initial is None else initial
-    if rho.num_qubits != num_qubits:
+    rho = DensityMatrix.zero_state(circuit.num_qubits) if initial is None else initial
+    if rho.num_qubits != circuit.num_qubits:
         raise ValueError("initial state qubit-count mismatch")
     columns = pauli_coefficients(rho.matrix)[:, None]
-    evolve_transfer(plan, columns, [0.0])
+    evolve_transfer(compile_gates(circuit.gates, circuit.num_qubits, noise), columns, [0.0])
     rho.matrix = density_from_pauli(columns[:, 0])
     return rho
+
+
+def check_density_size(num_qubits: int) -> None:
+    """Refuse more qubits than DEFAULT_DENSITY_QUBIT_LIMIT."""
+    if num_qubits > DEFAULT_DENSITY_QUBIT_LIMIT:
+        raise ValueError(
+            f"density-matrix simulation limited to {DEFAULT_DENSITY_QUBIT_LIMIT} qubits "
+            f"(circuit has {num_qubits}); memory grows as 4^n"
+        )
 
 
 def _sample_parity(

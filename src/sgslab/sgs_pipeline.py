@@ -4,7 +4,8 @@ Prepares the equal superposition of the starting Hamiltonian's two lowest
 eigenstates, carries it through a discretized adiabatic interpolation to
 the target Hamiltonian, records an observable's expectation value at
 Chebyshev-distributed times under first-order Trotter evolution, and fits
-offset + rho*cos(gap*t + theta) to extract the gap.
+offset + rho*cos(gap*t + theta) to extract the gap. Under a noise model the
+state is a column of Pauli coefficients from |0...0> to readout.
 """
 
 from __future__ import annotations
@@ -36,15 +37,14 @@ from .circuit_engine import (
 )
 from .noise_engine import (
     DENSITY_BATCH_BYTES,
-    DensityMatrix,
     NoiseModel,
     _sample_parity,
     check_density_size,
     evolve_transfer,
     measurement_probs,
     pauli_coefficients,
-    run_noisy_plan,
     word_index,
+    zero_state_coefficients,
 )
 from .pauli_core import PauliString, QubitHamiltonian, diagonal_energies, expectations
 
@@ -146,8 +146,10 @@ class ExperimentConfig:
                 t_min, t_max = (float(t) for t in self.time_window)
             except (TypeError, ValueError):
                 t_min = t_max = math.nan
-            if not (t_max > t_min >= 0.0):
-                raise ValueError(f"time_window needs t_max > t_min >= 0, got {self.time_window!r}")
+            if not (math.inf > t_max > t_min >= 0.0):
+                raise ValueError(
+                    f"time_window needs finite t_max > t_min >= 0, got {self.time_window!r}"
+                )
             object.__setattr__(self, "time_window", (t_min, t_max))
         if self.target_periods <= 0 or self.max_step_norm <= 0:
             raise ValueError("target_periods and max_step_norm must be positive")
@@ -316,19 +318,16 @@ def prepare_state(
     cfg: ExperimentConfig,
     prep: Circuit | None = None,
     initial_state: StateVector | None = None,
-) -> StateVector | DensityMatrix:
+) -> StateVector | np.ndarray:
     """The state a series starts from: ``initial_state`` as given, or
     ``prep`` (inferred from H0 when None) followed by the thermalization.
 
     Noiseless, ``prep`` runs through ``run_circuit`` and the thermalization
     straight from each step's term list (``run_adiabatic``), bit for bit
-    the state of ``run_circuit`` on ``prep`` + ``adiabatic_circuit``. A
-    noisy ``cfg`` returns a DensityMatrix, within the density qubit limit
-    whether or not ``initial_state`` is given: the native ``prep`` and the
-    native thermalization, built from the term lists as well
-    (``compile_adiabatic``), run as one plan under the noise model, bit
-    for bit ``run_noisy`` of ``compile_native(prep)`` +
-    ``adiabatic_circuit(..., native=True)``.
+    the state of ``run_circuit`` on ``prep`` + ``adiabatic_circuit``. Under
+    noise (within the density qubit limit, also for ``initial_state``) the
+    state is its (4^n,) Pauli column: the native ``prep`` and thermalization
+    (``compile_adiabatic``) run as one plan from |0...0>'s column.
     """
     noisy = cfg.noise is not None
     if noisy:
@@ -336,8 +335,8 @@ def prepare_state(
     if initial_state is not None:
         if initial_state.num_qubits != h.num_qubits:
             raise ValueError("initial_state qubit-count mismatch")
-        state = initial_state.copy()
-        return DensityMatrix.from_pure(state) if noisy else state
+        amps = initial_state.amplitudes
+        return pauli_coefficients(np.outer(amps, amps.conj())) if noisy else initial_state.copy()
     prep = prep if prep is not None else default_sgs0_circuit(h0)
     circuit = Circuit(h.num_qubits, list(prep.gates))
     if noisy:
@@ -346,7 +345,8 @@ def prepare_state(
             plan += compile_adiabatic(
                 h0, h, cfg.tau, cfg.therm_steps, native=True, noise=cfg.noise
             )
-        return run_noisy_plan(plan, h.num_qubits)
+        columns = zero_state_coefficients(h.num_qubits)[:, None]
+        return evolve_transfer(plan, columns, [0.0])[:, 0]
     state = run_circuit(circuit)
     if cfg.therm_steps > 0:
         run_adiabatic(h0, h, cfg.tau, cfg.therm_steps, state.amplitudes[:, None])
@@ -356,7 +356,7 @@ def prepare_state(
 def _measure_series(
     h: QubitHamiltonian,
     o: PauliString,
-    prefix: StateVector | DensityMatrix,
+    prefix: StateVector | np.ndarray,
     times: np.ndarray,
     cfg: ExperimentConfig,
     shots: int | None,
@@ -364,14 +364,14 @@ def _measure_series(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evolve to each time and measure there.
 
-    ``prefix`` is the prepared state, a DensityMatrix for a noisy series.
+    ``prefix`` is ``prepare_state``'s state, a Pauli column under noise.
     ``shots=None`` records exact expectation values with zero sigma (used
     by the window pilot). Every time gets its own column, advanced by
     evo_steps equal steps of the precompiled step: statevector (2^n, T)
     columns all at once on ``clean_plan`` (``compile_step(h)``, compiled
     here when None); a noisy series runs ``_measure_noisy_series``.
     """
-    if isinstance(prefix, DensityMatrix):
+    if cfg.noise is not None:
         return _measure_noisy_series(h, o, prefix, times, cfg, shots)
     plan = clean_plan if clean_plan is not None else compile_step(h)
     columns = np.repeat(prefix.amplitudes[:, None], len(times), axis=1)
@@ -387,7 +387,7 @@ def _measure_series(
 def _measure_noisy_series(
     h: QubitHamiltonian,
     o: PauliString,
-    prefix: DensityMatrix,
+    prefix: np.ndarray,
     times: np.ndarray,
     cfg: ExperimentConfig,
     shots: int | None,
@@ -398,13 +398,12 @@ def _measure_noisy_series(
     ``DENSITY_BATCH_BYTES``. A block's measurement probabilities are taken
     at once and the block is released before its columns are sampled."""
     plan = compile_step(h, native=True, noise=cfg.noise)
-    start = pauli_coefficients(prefix.matrix)
-    block = max(1, DENSITY_BATCH_BYTES // start.nbytes)
+    block = max(1, DENSITY_BATCH_BYTES // prefix.nbytes)
     values = np.empty(len(times))
     sigmas = np.zeros(len(times))
     for lo in range(0, len(times), block):
         chunk = times[lo:lo + block]
-        batch = np.repeat(start[:, None], len(chunk), axis=1)
+        batch = np.repeat(prefix[:, None], len(chunk), axis=1)
         evolve_transfer(plan, batch, chunk / cfg.evo_steps, cfg.evo_steps)
         if shots is None:
             values[lo:lo + len(chunk)] = (o.phase_coeff * batch[word_index(o.axes)]).real
@@ -475,11 +474,12 @@ def run_experiment(
     ``prep`` overrides the inferred starting-superposition circuit;
     ``initial_state`` bypasses preparation and thermalization entirely
     (used to drive the pipeline from an exactly constructed superposition,
-    or from a state ``prepare_state`` already built). ``clean_plan``, the
-    noiseless ``compile_step(h)``, is used by every noiseless series the
-    call runs (the window pilot, and the series itself without noise), so
-    a caller can compile it once for several runs; None compiles it here.
-    A noisy series always compiles its own native step.
+    or from a noiseless state ``prepare_state`` already built; under noise
+    it enters as its Pauli column). ``clean_plan``, the noiseless
+    ``compile_step(h)``, is used by every noiseless series the call runs
+    (the window pilot, and the series itself without noise), so a caller
+    can compile it once for several runs; None compiles it here. A noisy
+    series always compiles its own native step.
     """
     if h.num_qubits != h0.num_qubits or o.num_qubits != h.num_qubits:
         raise ValueError("Hamiltonians and observable must share the qubit count")
@@ -597,28 +597,23 @@ def _scan_residuals(
     return residuals
 
 
-def frequency_grid_search(
-    series: TimeSeries,
-    n_candidates: int = 3,
-    oversample: int = OVERSAMPLE,
-    sigma_floor: float = SIGMA_FLOOR,
-) -> GridSearchResult:
+def frequency_grid_search(series: TimeSeries) -> GridSearchResult:
     """Scan the admissible frequency band for least-squares minima.
 
     The band is [pi/(2 T_window), pi/min(dt)] — from half an oscillation
     across the window up to the nonuniform sampling limit — with grid
-    resolution pi/(T_window * oversample). Top local minima are returned
-    as fit starting points; a series whose best tone does not beat the
-    constant-only fit is flagged as not significant.
+    resolution pi/(T_window * OVERSAMPLE). The three lowest local minima
+    are returned as fit starting points; a series whose best tone does not
+    beat the constant-only fit is flagged as not significant.
     """
     if len(series) < MIN_FIT_POINTS:
         raise ValueError(f"need at least {MIN_FIT_POINTS} points")
     times, values = series.times, series.values
-    weights = 1.0 / np.maximum(series.sigmas, sigma_floor)
+    weights = 1.0 / np.maximum(series.sigmas, SIGMA_FLOOR)
     window = float(times[-1] - times[0])
     omega_lo = math.pi / (2.0 * window)
     omega_hi = math.pi / float(np.min(np.diff(times)))
-    domega = math.pi / (window * oversample)
+    domega = math.pi / (window * OVERSAMPLE)
     omegas = np.arange(omega_lo, omega_hi, domega)
     # the constant-only fit: its weighted residual is the weighted values
     # centred on the weighted constant
@@ -632,7 +627,7 @@ def frequency_grid_search(
         residuals[interior] <= residuals[interior + 1]
     )
     minima = interior[is_min]
-    minima = minima[np.argsort(residuals[minima], kind="stable")][:n_candidates]
+    minima = minima[np.argsort(residuals[minima], kind="stable")][:3]
     if minima.size == 0:
         minima = np.array([int(np.argmin(residuals))])
     best = float(residuals[minima[0]])
@@ -779,11 +774,7 @@ def curve_fit(
     raise RuntimeError(f"no minimum of the profile residual found from {p0:.6g}")
 
 
-def fit_gap(
-    series: TimeSeries,
-    freq_hint: float | None = None,
-    sigma_floor: float = SIGMA_FLOOR,
-) -> FitResult:
+def fit_gap(series: TimeSeries, freq_hint: float | None = None) -> FitResult:
     """Weighted least-squares fit of c + rho cos(gap t + theta).
 
     Runs ``curve_fit`` from each grid-search minimum (or from the caller's
@@ -797,11 +788,11 @@ def fit_gap(
     if freq_hint is not None and not 0.0 < freq_hint < math.inf:
         raise ValueError(f"freq_hint must be a finite number > 0, got {freq_hint!r}")
     times, values = series.times, series.values
-    sigmas = np.maximum(series.sigmas, sigma_floor)
+    sigmas = np.maximum(series.sigmas, SIGMA_FLOOR)
     if freq_hint is not None:
         starts = [float(freq_hint)]
     else:
-        starts = [float(w) for w in frequency_grid_search(series, sigma_floor=sigma_floor).candidates]
+        starts = [float(w) for w in frequency_grid_search(series).candidates]
     step = math.pi / (float(times[-1] - times[0]) * OVERSAMPLE)
 
     best: tuple[float, np.ndarray, np.ndarray] | None = None

@@ -94,10 +94,9 @@ def exact_spectrum(h: QubitHamiltonian) -> SpectrumResult:
     return _read_only(eigenvalues, eigenvectors, float(np.max(np.abs(eigenvalues))))
 
 
-@lru_cache(maxsize=128)
 def low_spectrum(h: QubitHamiltonian, k: int) -> SpectrumResult:
-    """The lowest k eigenpairs: a slice of ``exact_spectrum`` up to
-    DENSE_DIM_LIMIT amplitudes, ``block_lanczos`` above it."""
+    """The lowest k eigenpairs: a slice of the cached ``exact_spectrum`` up
+    to DENSE_DIM_LIMIT amplitudes, an uncached ``block_lanczos`` above it."""
     check_oracle_size(h.num_qubits)
     if 1 << h.num_qubits <= DENSE_DIM_LIMIT:
         full = exact_spectrum(h)
@@ -273,11 +272,15 @@ def coherence(
     dim = 1 << h.num_qubits
     if not (0 <= i < dim and 0 <= j < dim):
         raise ValueError(f"levels ({i}, {j}) out of range")
-    spectrum = low_spectrum(h, max(i, j) + 1)
+    return _coherence(low_spectrum(h, max(i, j) + 1), o, i, j)
+
+
+def _coherence(spectrum: SpectrumResult, o: PauliString, i: int, j: int) -> tuple[float, float]:
+    """``coherence`` from levels already computed."""
     if i != j and spectrum.is_degenerate_pair(min(i, j), max(i, j)):
         warnings.warn(
             f"levels ({i}, {j}) are degenerate; coherence is basis-dependent",
-            stacklevel=2,
+            stacklevel=3,
         )
     rho, theta = _polar(_matrix_element(spectrum, o, i, j))
     return float(rho), float(theta)
@@ -289,9 +292,8 @@ def sgs_closed_form(
     """Exact <O(t)> on the equal superposition of eigenstates i and j:
     (O_ii + O_jj)/2 + rho cos(dE t + theta)."""
     spectrum = low_spectrum(h, max(i, j) + 1)
-    o_ii = _matrix_element(spectrum, o, i, i).real
-    o_jj = _matrix_element(spectrum, o, j, j).real
-    rho, theta = coherence(h, o, i, j)
+    o_ii, o_jj = (_matrix_element(spectrum, o, k, k).real for k in (i, j))
+    rho, theta = _coherence(spectrum, o, i, j)
     gap = float(spectrum.eigenvalues[j] - spectrum.eigenvalues[i])
     t = np.asarray(t, dtype=float)
     values = 0.5 * (o_ii + o_jj) + rho * np.cos(gap * t + theta)

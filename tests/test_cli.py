@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -472,6 +473,10 @@ class TestInputErrors:
         ("ising", {"experiment": ""}, "config.experiment: expected a mapping"),
         ("ising", {"experiment": False}, "config.experiment: expected a mapping"),
         ("ising", {"experiment": {"time_window": ["a", 1]}}, "time_window"),
+        ("ising", {"experiment": {"time_window": [0, "1e400"]}}, "time_window"),
+        ("ising", {"experiment": {"time_window": [0, math.inf]}}, "time_window"),
+        ("ising", {"j1": 0}, "config.j1"),
+        ("ising", {"length": 4, "sweep": [2.0, 1e308]}, "config.sweep[1]"),
         ("ising", {"experiment": {"evo_steps": 10.5}}, "evo_steps"),
         ("ising", {"experiment": {"evo_steps": 3}}, "evo_steps must be >= 5"),
         ("ising", {"experiment": {"evo_steps": 4}}, "evo_steps must be >= 5"),
@@ -494,7 +499,8 @@ class TestInputErrors:
     ], ids=["sweep-item", "length-text", "length-zero", "experiment-list",
             "experiment-empty-list", "experiment-zero", "experiment-empty-string",
             "experiment-false",
-            "time-window-item", "evo-steps-float", "evo-steps-3", "evo-steps-4",
+            "time-window-item", "time-window-1e400", "time-window-inf", "j1-zero",
+            "sweep-norm-overflow", "evo-steps-float", "evo-steps-3", "evo-steps-4",
             "shots-float", "seed-float",
             "tau-text", "native-mode-removed", "independent-points-removed",
             "max-total-steps-removed", "step-allocation-removed", "study-list", "input-item", "input-directory",
@@ -566,6 +572,35 @@ class TestInputErrors:
         )
         assert status == 2
         assert "--freq-hint: expected a finite number > 0" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["ising", "benchmark", "search"])
+    def test_out_that_cannot_be_created(self, tmp_path, capsys, monkeypatch, command):
+        import sgslab.cli as cli_mod
+
+        def refused(job):
+            raise AssertionError("point ran before --out was checked")
+
+        monkeypatch.setattr(cli_mod, "_run_point", refused)
+        blocker = tmp_path / "some_file.csv"
+        blocker.write_text("")
+        if command == "ising":
+            source = ["--config", str(small_ising_config(tmp_path))]
+        else:
+            source = ["--chain", "3"]
+        status, err = self.run([command, *source, "--out", str(blocker / "sub")], capsys)
+        assert status == 2
+        assert "config error: --out:" in err and "some_file.csv" in err
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one(self, tmp_path, capsys, workers):
+        cfg = small_ising_config(tmp_path)
+        status, err = self.run(
+            ["ising", "--config", str(cfg), "--workers", workers, "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert status == 2
+        assert "--workers: expected an integer >= 1" in err
         assert not (tmp_path / "o").exists()
 
     def test_search_solver_error_is_not_a_flag_error(self, tmp_path, monkeypatch):

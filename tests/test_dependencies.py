@@ -6,8 +6,9 @@ gap fit is a numpy variable projection (no scipy.optimize). Every gate
 runs as Pauli rotations: the dense gate matrices and their tensor
 contraction are a test oracle (conftest), not a second simulator. Noisy
 states run in the Pauli-transfer basis, with no dense density kernel
-beside it. The block Lanczos basis grows in place, not by concatenation.
-Every function the benchmark's tracer wraps still exists under its name.
+beside it, and the pipeline holds them in no dense form. The block
+Lanczos basis grows in place, not by concatenation. Every function the
+benchmark's tracer wraps still exists under its name.
 """
 
 import ast
@@ -70,6 +71,34 @@ def test_one_density_kernel():
         if isinstance(node, ast.FunctionDef) and node.name in ("_depolarize", "evolve_density")
     }
     assert not found, sorted(found)
+
+
+def _identifiers(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name
+
+
+def test_noisy_points_stay_in_the_pauli_basis():
+    # a noisy point runs from |0...0>'s Pauli column to readout; the dense
+    # form is only what run_noisy and sample_expectation_noisy take and give
+    pipeline = REPO_ROOT / "src" / "sgslab" / "sgs_pipeline.py"
+    dense = {"DensityMatrix", "density_from_pauli"} & set(
+        _identifiers(ast.parse(pipeline.read_text(), filename=str(pipeline)))
+    )
+    assert not dense, sorted(dense)
+    found = [
+        path.name
+        for path in sorted((REPO_ROOT / "src" / "sgslab").glob("*.py"))
+        if "run_noisy_plan" in _identifiers(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, found
 
 
 def test_cli_import_loads_no_scipy():

@@ -53,6 +53,7 @@ from sgslab.noise_engine import (
     pauli_coefficients,
     run_noisy,
     sample_expectation_noisy,
+    zero_state_coefficients,
 )
 from sgslab.pauli_core import PauliString, QubitHamiltonian
 
@@ -554,6 +555,11 @@ class TestPauliBasis:
             np.testing.assert_allclose(
                 density_from_pauli(pauli_coefficients(matrix)), matrix, atol=1e-14
             )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_zero_state_coefficients(self, n):
+        want = pauli_coefficients(DensityMatrix.zero_state(n).matrix)
+        assert np.array_equal(zero_state_coefficients(n), want)
 
     def test_coefficients_are_traces(self, rng):
         matrix = random_density(rng, 3)

@@ -12,6 +12,7 @@ from sgslab import circuit_engine, noise_engine, pauli_core, sgs_pipeline
 from sgslab.circuit_engine import (
     StateVector,
     adiabatic_circuit,
+    compile_gates,
     compile_native,
     compile_step,
     evolve_columns,
@@ -21,7 +22,15 @@ from sgslab.circuit_engine import (
     trotter_step,
 )
 from sgslab.hamiltonians import IsingSpec, build_ising, ising_auxiliary, load_qubit_hamiltonian
-from sgslab.noise_engine import DensityMatrix, NoiseModel, aria_noise_model, run_noisy
+from sgslab.noise_engine import (
+    DensityMatrix,
+    NoiseModel,
+    aria_noise_model,
+    evolve_transfer,
+    pauli_coefficients,
+    run_noisy,
+    zero_state_coefficients,
+)
 from sgslab.pauli_core import PauliString, QubitHamiltonian, diagonal_part
 from sgslab.sgs_pipeline import (
     ExperimentConfig,
@@ -305,7 +314,7 @@ class TestGridSearch:
         times = chebyshev_times(40, 0.0, 20.0)
         values = 0.4 * np.cos(1.1 * times + 0.3) + 0.35 * np.cos(2.9 * times - 0.5)
         series = TimeSeries(times, values, np.zeros_like(times))
-        result = frequency_grid_search(series, n_candidates=3)
+        result = frequency_grid_search(series)
         found = sorted(result.candidates[:2])
         assert abs(found[0] - 1.1) < 0.1
         assert abs(found[1] - 2.9) < 0.1
@@ -620,8 +629,15 @@ NOISY_PREPARATION_CASES = [
 ]
 
 
+def run_transfer(circuit, noise):
+    """The Pauli column of a circuit run gate by gate from |0...0>."""
+    n = circuit.num_qubits
+    columns = zero_state_coefficients(n)[:, None]
+    return evolve_transfer(compile_gates(circuit.gates, n, noise), columns, [0.0])[:, 0]
+
+
 class TestNoisyPreparation:
-    """The noisy prepare_state against run_noisy of the native circuit."""
+    """The noisy prepare_state against the native circuit's gates."""
 
     @pytest.mark.parametrize("case", NOISY_PREPARATION_CASES)
     def test_bit_identical_to_circuit(self, case):
@@ -630,15 +646,14 @@ class TestNoisyPreparation:
         circuit = compile_native(prep) + adiabatic_circuit(
             h0, h, cfg.tau, cfg.therm_steps, native=True
         )
-        want = run_noisy(circuit, cfg.noise)
         got = prepare_state(h, h0, cfg, prep)
-        assert np.array_equal(got.matrix, want.matrix)
+        assert np.array_equal(got, run_transfer(circuit, cfg.noise))
 
     def test_without_thermalization_runs_the_native_prep(self):
         h, h0, cfg, prep = preparation_case("y_three_local")
         cfg = replace(cfg, therm_steps=0, noise=aria_noise_model())
-        want = run_noisy(compile_native(prep), cfg.noise)
-        assert np.array_equal(prepare_state(h, h0, cfg, prep).matrix, want.matrix)
+        want = run_transfer(compile_native(prep), cfg.noise)
+        assert np.array_equal(prepare_state(h, h0, cfg, prep), want)
 
     def test_builds_no_gates(self, monkeypatch):
         h, h0, cfg, prep = preparation_case("aria_2.4")
@@ -740,7 +755,8 @@ class TestSeriesKernel:
         prefix = DensityMatrix.from_pure(StateVector(3, random_state(rng, 3)))
         cfg = ExperimentConfig(tau=1.0, therm_steps=0, evo_steps=8, noise=noise)
         times = chebyshev_times(cfg.evo_steps, 0.0, 2.5)
-        values, _ = _measure_series(h, o, prefix, times, cfg, shots=None)
+        start = pauli_coefficients(prefix.matrix)
+        values, _ = _measure_series(h, o, start, times, cfg, shots=None)
         for k, steps in enumerate(reference_steps(times, cfg)):
             rho = prefix.copy()
             for dt in steps:

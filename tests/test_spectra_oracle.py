@@ -295,6 +295,25 @@ class TestClosedForm:
                 got = sgs_closed_form(h, o, i, j, float(t))
                 assert got == pytest.approx(want, abs=1e-9)
 
+    def test_one_krylov_solve_above_256_amplitudes(self, monkeypatch):
+        import sgslab.spectra_oracle as oracle
+
+        solves = []
+        monkeypatch.setattr(
+            oracle, "block_lanczos", lambda h, k: solves.append(k) or block_lanczos(h, k)
+        )
+        h = build_ising(IsingSpec.chain(9, 1.0, 1.7))
+        o = PauliString.from_word("X" + "I" * 8)
+        value = sgs_closed_form(h, o, 0, 1, 0.0)
+        assert solves == [2]
+        rho, theta = coherence(h, o, 0, 1)
+        assert value == pytest.approx(rho * math.cos(theta), abs=1e-10)
+
+    def test_degenerate_pair_warns(self):
+        h = build_ising(IsingSpec.chain(4, 1.0, 0.0))
+        with pytest.warns(UserWarning, match="degenerate"):
+            sgs_closed_form(h, PauliString.from_word("XIII"), 0, 1, 0.0)
+
     def test_vectorized_times(self, rng):
         h = random_hamiltonian(rng, 2)
         o = PauliString.from_word("XI")
@@ -414,7 +433,6 @@ class TestBlockLanczos:
 
         monkeypatch.setattr(QubitHamiltonian, "to_dense", guarded(QubitHamiltonian.to_dense))
         monkeypatch.setattr(oracle, "exact_spectrum", guarded(oracle.exact_spectrum))
-        low_spectrum.cache_clear()
         h = build_ising(IsingSpec.chain(9, 1.0, 1.7))
         gap = benchmark_gap(h, 0, 1)
         rho, _ = coherence(h, PauliString.from_word("X" + "I" * 8), 0, 1)
