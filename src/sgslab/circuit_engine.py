@@ -412,17 +412,20 @@ def _check_schedule(tau: float, n_steps: int) -> None:
         raise ValueError("tau must be positive")
 
 
+@lru_cache(maxsize=64)
 def _adiabatic_schedule(
     h0: QubitHamiltonian, h: QubitHamiltonian, tau: float, n_steps: int
-) -> tuple[list[list[tuple[tuple[int, ...], float]]], float]:
+) -> tuple[tuple[tuple[tuple[tuple[int, ...], float], ...], ...], float]:
     """The ``trotter_term_order`` of every step of the linear schedule, and
     the step length: step m of n runs at the midpoint fraction
     s = (m - 1/2)/n for time tau/n.
 
-    The endpoint terms are merged once. Each step's coefficients are those
-    of ``interpolated_hamiltonian`` bit for bit: (0.0 + (1 - s) c0) + s c1,
-    summed as ``QubitHamiltonian`` merges terms, with each scaled part and
-    the sum pruned at ``COEFF_PRUNE_TOL``, in canonical order.
+    Cached, as tuples: a point's batch key, its noiseless and its noisy
+    thermalization read one schedule. The endpoint terms are merged once.
+    Each step's coefficients are those of ``interpolated_hamiltonian`` bit
+    for bit: (0.0 + (1 - s) c0) + s c1, summed as ``QubitHamiltonian``
+    merges terms, with each scaled part and the sum pruned at
+    ``COEFF_PRUNE_TOL``, in canonical order.
     """
     if h0.num_qubits != h.num_qubits:
         raise ValueError("qubit-count mismatch")
@@ -447,8 +450,8 @@ def _adiabatic_schedule(
         key = tuple(axes for axes, _ in terms)
         if key not in orders:
             orders[key] = [k for _, k in _term_order([(axes, k) for k, axes in enumerate(key)])]
-        steps.append([terms[k] for k in orders[key]])
-    return steps, tau / n_steps
+        steps.append(tuple(terms[k] for k in orders[key]))
+    return tuple(steps), tau / n_steps
 
 
 def adiabatic_circuit(
@@ -536,7 +539,9 @@ class StepPlan:
 
     Rotation r turns by ``slopes[r] * dt + intercepts[r]`` at step length
     dt about the word ``words[r]``, given as (qubits, axes); each kernel
-    derives its own per-word tables from ``words``.
+    derives its own per-word tables from ``words``. ``slopes`` and
+    ``intercepts`` are (R,), the same angles for every column, or (R, W),
+    one column of angles per column of a batch W wide (``stack``).
     ``channels[r]`` is ``(targets, p)``, the depolarizing channels that
     follow rotation r: the last rotation of each gate carries the gate's
     targets when the plan's noise model gives it p > 0, every other
@@ -557,24 +562,45 @@ class StepPlan:
             self.channels + other.channels,
         )
 
+    @classmethod
+    def stack(cls, plans, repeats: int = 1) -> "StepPlan":
+        """One plan for a batch of points whose plans share their words and
+        channels: columns p * repeats to (p + 1) * repeats - 1 turn by the
+        angles of ``plans[p]``. ValueError when the words or channels
+        differ."""
+        first = plans[0]
+        if any(p.words != first.words or p.channels != first.channels for p in plans[1:]):
+            raise ValueError("the points of a batch must share their rotation words and channels")
+        slopes, intercepts = (
+            np.repeat(np.column_stack([getattr(p, name) for p in plans]), repeats, axis=1)
+            for name in ("slopes", "intercepts")
+        )
+        return cls(slopes, intercepts, first.words, first.channels)
+
     def half_angle_trig(self, dts, width: int) -> tuple[np.ndarray, np.ndarray]:
         """(cos, sin) of every rotation's half angle, one column per dt.
 
         ``dts`` must hold one step length per column of a batch ``width``
-        columns wide. The values go through ``math.cos``/``math.sin`` as in
-        ``_run_gates``.
+        columns wide, as must a plan of (R, W) angles. The values go through
+        ``math.cos``/``math.sin`` as in ``_run_gates``.
         """
         dts = np.asarray(dts, dtype=float)
-        if dts.shape != (width,):
+        plan_width = self.slopes.shape[1] if self.slopes.ndim == 2 else width
+        if dts.shape != (width,) or plan_width != width:
             raise ValueError(
                 f"dts must hold one step length per column: shape {dts.shape}, "
-                f"{width} columns"
+                f"{width} columns, plan angles for {plan_width}"
             )
-        angles = np.multiply.outer(self.slopes, dts)
-        half = ((angles + self.intercepts[:, None]) / 2.0).tolist()
+        angles = _per_column(self.slopes) * dts
+        half = ((angles + _per_column(self.intercepts)) / 2.0).tolist()
         cos = np.array([[math.cos(x) for x in row] for row in half])
         sin = np.array([[math.sin(x) for x in row] for row in half])
         return cos, sin
+
+
+def _per_column(x: np.ndarray) -> np.ndarray:
+    """(R,) angles as one (R, 1) column; (R, W) as they are."""
+    return x[:, None] if x.ndim == 1 else x
 
 
 def compile_gates(gates, num_qubits: int, noise: NoiseModel | None = None) -> StepPlan:
@@ -665,24 +691,24 @@ def compile_adiabatic(
     )
 
 
-def run_adiabatic(
-    h0: QubitHamiltonian,
-    h: QubitHamiltonian,
-    tau: float,
-    n_steps: int,
-    columns: np.ndarray,
-) -> np.ndarray:
-    """Apply ``adiabatic_circuit(h0, h, tau, n_steps)`` to a (2^n, T)
-    array in place, one rotation of ``compile_adiabatic`` at a time.
+def run_adiabatic(plan: StepPlan, columns: np.ndarray) -> np.ndarray:
+    """Apply a plan of fixed angles to a (2^n, T) array in place, one
+    rotation at a time: ``compile_adiabatic(h0, h, tau, n_steps)``, or a
+    ``StepPlan.stack`` of such plans with one column of angles per column.
 
     No gate is built, and each rotation is applied as ``_run_gates``
-    applies it, so the result is bit for bit that of ``run_circuit``.
+    applies it, so every column is bit for bit that of ``run_circuit`` on
+    its own point's ``adiabatic_circuit``.
     """
-    plan = compile_adiabatic(h0, h, tau, n_steps)
     n = columns.shape[0].bit_length() - 1
-    for word, theta in zip(plan.words, plan.intercepts.tolist()):
+    for word, row in zip(plan.words, (_per_column(plan.intercepts) / 2).tolist()):
         src, phase = _rotation_plan(*word, n)
-        _rotate(columns, src, phase[:, None], math.cos(theta / 2), math.sin(theta / 2))
+        if len(row) == 1:  # one angle: floats, which multiply faster than a (1,) array
+            cos, sin = math.cos(row[0]), math.sin(row[0])
+        else:
+            cos = np.array([math.cos(x) for x in row])
+            sin = np.array([math.sin(x) for x in row])
+        _rotate(columns, src, phase[:, None], cos, sin)
     return columns
 
 
@@ -866,7 +892,8 @@ def evolve_columns(
     plan: StepPlan, columns: np.ndarray, dts, n_steps: int = 1
 ) -> np.ndarray:
     """Advance column k of a C-contiguous (2^n, T) array by ``n_steps``
-    steps of length ``dts[k]``, in place.
+    steps of length ``dts[k]``, in place, at column k's angles when the
+    plan holds one column of them per column (``StepPlan.stack``).
 
     The step is built once per call as flip-mask operators
     (``_step_operators``). Each step then applies every operator

@@ -25,7 +25,6 @@ from pathlib import Path
 import yaml
 
 from . import __version__
-from .circuit_engine import compile_step
 from .hamiltonians import (
     IsingSpec,
     build_ising,
@@ -48,11 +47,13 @@ from .sgs_pipeline import (
     ExperimentConfig,
     FitError,
     TimeSeries,
-    auto_time_window,
+    auto_time_windows,
+    batch_key,
     fit_gap,
+    pilot_times,
     prepare_sgs0_basis_pair,
-    prepare_state,
-    run_experiment,
+    prepare_states,
+    run_experiments,
     select_aux_pair,
 )
 from .spectra_oracle import (
@@ -309,39 +310,74 @@ def _molecule_points(raw: dict, config_dir: Path) -> list[tuple]:
     return points
 
 
-# study -> (point reader, first column of sweep.csv)
+# study -> (point reader, first column of sweep.csv, the config list of points)
 STUDIES = {
-    "ising": (_ising_points, "h3_over_J1"),
-    "molecule": (_molecule_points, "bond_label"),
+    "ising": (_ising_points, "h3_over_J1", "sweep"),
+    "molecule": (_molecule_points, "bond_label", "inputs"),
 }
 
 
-def _run_point(job) -> tuple[dict, TimeSeries | None]:
-    """Run and fit one point; returns its result.json entry and its series
-    (None when the fit failed). A noisy point first fits the noiseless
-    series and starts the noisy fit from that gap. The noiseless state and
-    step are prepared and compiled once, for the window pilot and the
-    noiseless series."""
-    study, cfg, (entry, h, h0, observable, prep) = job
-    clean_plan = compile_step(h)
-    clean_state = prepare_state(h, h0, replace(cfg, noise=None), prep)
-    if cfg.time_window is None:
-        window = auto_time_window(
-            h, h0, observable, cfg, initial_state=clean_state, clean_plan=clean_plan
-        )
-        cfg = replace(cfg, time_window=window)
-    clean_cfg = replace(cfg, noise=None)
-    clean_fit = None
+def _batches(points: list[tuple], cfg: ExperimentConfig, parts: int) -> list[list[int]]:
+    """The point indices of each batch: at most ``parts`` contiguous runs
+    of the points, one per worker, each split by ``batch_key`` in order of
+    first appearance."""
+    size = -(-len(points) // parts)
+    batches = []
+    for lo in range(0, len(points), size):
+        groups: dict[tuple, list[int]] = {}
+        for i in range(lo, min(lo + size, len(points))):
+            _, h, h0, observable, prep = points[i]
+            groups.setdefault(batch_key(h, h0, observable, cfg, prep), []).append(i)
+        batches += groups.values()
+    return batches
+
+
+def _fit(series: TimeSeries, hint: float | None):
+    """``fit_gap`` from ``hint``, or the message of its ``FitError``."""
     try:
-        series = run_experiment(
-            h, h0, observable, clean_cfg, initial_state=clean_state, clean_plan=clean_plan
-        )
-        if cfg.noise is not None:
-            clean_fit = fit_gap(series)
-            series = run_experiment(h, h0, observable, cfg, prep=prep)
-        fit = fit_gap(series, freq_hint=None if clean_fit is None else clean_fit.gap)
+        return fit_gap(series, freq_hint=hint)
     except FitError as exc:
-        return entry | {"fit_error": str(exc)}, None
+        return str(exc)
+
+
+def _run_batch(job) -> list[tuple[dict, TimeSeries | None]]:
+    """Run and fit the points of one batch (``_batches``); returns each
+    point's result.json entry and its series (None when the fit failed).
+
+    Each stage is one kernel call for the whole batch. The noiseless
+    states are prepared once, for the window pilot and the noiseless
+    series. A noisy point first fits the noiseless series and starts the
+    noisy fit from that gap; a point whose noiseless fit failed reports
+    that failure.
+    """
+    study, cfg, points = job
+    entries, hs, h0s, observables, preps = zip(*points)
+    o, prep = observables[0], preps[0]
+    clean_cfg = replace(cfg, noise=None)
+    states = prepare_states(hs, h0s, clean_cfg, prep)
+    if cfg.time_window is None:
+        windows = auto_time_windows(hs, h0s, o, cfg, initial_states=states)
+    else:
+        windows = [cfg.time_window] * len(hs)
+    series = run_experiments(hs, h0s, o, clean_cfg, initial_states=states, windows=windows)
+    fits = [_fit(s, None) for s in series]
+    clean_fits = [None] * len(hs)
+    if cfg.noise is not None:
+        clean_fits = fits
+        series = run_experiments(hs, h0s, o, cfg, prep, windows=windows)
+        fits = [
+            clean if isinstance(clean, str) else _fit(s, clean.gap)
+            for s, clean in zip(series, clean_fits)
+        ]
+    return [
+        _point_result(study, *point)
+        for point in zip(entries, hs, fits, series, clean_fits)
+    ]
+
+
+def _point_result(study, entry, h, fit, series, clean_fit) -> tuple[dict, TimeSeries | None]:
+    if isinstance(fit, str):
+        return entry | {"fit_error": fit}, None
     gap_exact = benchmark_gap(h, 0, 1)
     rel = abs(fit.gap - gap_exact) / abs(gap_exact) if gap_exact != 0 else float("inf")
     point = entry | {
@@ -370,23 +406,33 @@ def _sweep_csv(rows: list[dict], key_column: str) -> str:
 
 
 def cmd_study(args) -> int:
-    """Run every point of an ``ising`` or ``molecule`` config and write
-    the outputs; returns 1 when any point failed to fit."""
+    """Run every point of an ``ising`` or ``molecule`` config, batch by
+    batch (``_batches``), and write the outputs; returns 1 when any point
+    failed to fit."""
     if args.workers < 1:
         raise ConfigError(f"--workers: expected an integer >= 1, got {args.workers}")
     loaded = load_config(Path(args.config))
     if loaded.study != args.command:
         raise ConfigError(f"config.study: expected {args.command!r} for this command")
-    read_points, key_column = STUDIES[loaded.study]
+    read_points, key_column, field = STUDIES[loaded.study]
     points = read_points(loaded.raw, loaded.config_dir)
     cfg = _experiment_config(loaded, args)
-    jobs = [(loaded.study, cfg, point) for point in points]
+    if cfg.time_window is None:
+        for idx, point in enumerate(points):
+            try:
+                pilot_times(point[1], cfg)
+            except ValueError as exc:
+                raise ConfigError(f"config.{field}[{idx}]: {exc}") from None
+    batches = _batches(points, cfg, args.workers)
+    jobs = [(loaded.study, cfg, [points[i] for i in batch]) for batch in batches]
     out_dir = _out_dir(args)
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=min(args.workers, len(jobs))) as pool:
-            results = list(pool.map(_run_point, jobs))
+            outcomes = list(pool.map(_run_batch, jobs))
     else:
-        results = [_run_point(job) for job in jobs]
+        outcomes = [_run_batch(job) for job in jobs]
+    placed = {i: out for batch, outcome in zip(batches, outcomes) for i, out in zip(batch, outcome)}
+    results = [placed[i] for i in range(len(points))]
 
     rows = [row for row, _ in results]
     for row, series in results:
@@ -511,7 +557,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--noise", default=None, help="none|aria|custom:<path> (overrides config)"
         )
-        p.add_argument("--workers", type=int, default=1, help="parallel sweep points")
+        p.add_argument(
+            "--workers", type=int, default=1,
+            help="worker processes; the points split into at most this many contiguous batches",
+        )
         p.add_argument("--override-step-budget", action="store_true")
         p.set_defaults(fn=cmd_study)
 

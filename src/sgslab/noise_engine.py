@@ -31,9 +31,9 @@ from .circuit_engine import (
 from .pauli_core import _MUL_PHASE, _SIGMA, PauliString, pauli_plan
 
 DEFAULT_DENSITY_QUBIT_LIMIT = 8
-# Size of the (4^n, T) batch of Pauli columns, 4^n x 8 bytes each, that a
-# series evolves at once: all 25 times of a 4-qubit study fit, 8 times at
-# the 8-qubit limit.
+# Size of the (4^n, P * T) batch of Pauli columns, 4^n x 8 bytes each,
+# that the series of P points evolve at once: 2048 columns of 4 qubits fit
+# (all 75 times of a 3-point sweep), 8 times at the 8-qubit limit.
 DENSITY_BATCH_BYTES = 4 << 20
 # Most shots per block of readout flips that _sample_parity draws at once.
 # A block refills the buffer of the shots' uniforms, so it takes no memory
@@ -244,7 +244,9 @@ def _rotation_table(qubits, axes, num_qubits: int):
 
 def evolve_transfer(plan: StepPlan, columns: np.ndarray, dts, n_steps: int = 1) -> np.ndarray:
     """Advance column k of a C-contiguous (4^n, T) array of Pauli
-    coefficients by ``n_steps`` steps of length ``dts[k]``, in place.
+    coefficients by ``n_steps`` steps of length ``dts[k]``, in place, at
+    column k's angles when the plan holds one column of them per column
+    (``StepPlan.stack``).
 
     A rotation gathers the partners of its anticommuting words once
     (``_rotation_table``, built once per distinct word). The depolarizing

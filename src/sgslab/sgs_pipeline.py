@@ -23,6 +23,7 @@ from .circuit_engine import (
     Circuit,
     StateVector,
     StepPlan,
+    _adiabatic_schedule,
     cnot,
     compile_adiabatic,
     compile_gates,
@@ -34,6 +35,7 @@ from .circuit_engine import (
     run_adiabatic,
     run_circuit,
     sample_columns,
+    trotter_term_order,
 )
 from .noise_engine import (
     DENSITY_BATCH_BYTES,
@@ -312,6 +314,77 @@ def _point_seed(seed: int, k: int) -> SeedSequence:
     return SeedSequence((int(seed) & 0xFFFFFFFF, k))
 
 
+def batch_key(
+    h: QubitHamiltonian,
+    h0: QubitHamiltonian,
+    o: PauliString,
+    cfg: ExperimentConfig,
+    prep: Circuit | None = None,
+) -> tuple:
+    """What the points of one batch share: the qubit count, the words of
+    the step and of every thermalization step, the start circuit (``prep``,
+    inferred from H0 when None) and the observable. Points with equal keys
+    differ only in their coefficients, so their compiled plans share words
+    and channels under any noise model, and the batch forms below run them
+    as one."""
+    prep = prep if prep is not None else default_sgs0_circuit(h0)
+    therm = ()
+    if cfg.therm_steps > 0:
+        steps, _ = _adiabatic_schedule(h0, h, cfg.tau, cfg.therm_steps)
+        therm = tuple(tuple(axes for axes, _ in terms) for terms in steps)
+    step = tuple(axes for axes, _ in trotter_term_order(h))
+    return h.num_qubits, step, therm, tuple(prep.gates), o
+
+
+def prepare_states(
+    hs: list[QubitHamiltonian],
+    h0s: list[QubitHamiltonian],
+    cfg: ExperimentConfig,
+    prep: Circuit | None = None,
+    initial_states: np.ndarray | None = None,
+) -> np.ndarray:
+    """The start columns of a batch of P points (``batch_key``): the
+    (2^n, P) amplitudes of ``initial_states`` as given, or of ``prep``
+    (inferred from the first H0 when None) followed by each point's own
+    thermalization.
+
+    Noiseless, ``prep`` runs once through ``run_circuit`` and the stacked
+    thermalization plans through one ``run_adiabatic`` call, every column
+    bit for bit the state of ``run_circuit`` on ``prep`` + its point's
+    ``adiabatic_circuit``. Under noise (within the density qubit limit,
+    also for ``initial_states``) the columns are (4^n, P) Pauli columns:
+    the native ``prep`` and the stacked thermalizations
+    (``compile_adiabatic``) run as one plan from |0...0>'s column.
+    """
+    n = hs[0].num_qubits
+    noisy = cfg.noise is not None
+    if noisy:
+        check_density_size(n)
+    if initial_states is not None:
+        if initial_states.shape[0] != 1 << n:
+            raise ValueError("initial_state qubit-count mismatch")
+        if noisy:
+            return np.column_stack(
+                [pauli_coefficients(np.outer(amps, amps.conj())) for amps in initial_states.T]
+            )
+        return initial_states.copy()
+    prep = prep if prep is not None else default_sgs0_circuit(h0s[0])
+    circuit = Circuit(n, list(prep.gates))
+    therm = [
+        compile_adiabatic(h0, h, cfg.tau, cfg.therm_steps, native=noisy, noise=cfg.noise)
+        for h0, h in zip(h0s, hs) if cfg.therm_steps > 0
+    ]
+    if noisy:
+        plan = compile_gates(compile_native(circuit).gates, n, cfg.noise)
+        plan = StepPlan.stack([plan + part for part in therm]) if therm else plan
+        columns = np.repeat(zero_state_coefficients(n)[:, None], len(hs), axis=1)
+        return evolve_transfer(plan, columns, np.zeros(len(hs)))
+    columns = np.repeat(run_circuit(circuit).amplitudes[:, None], len(hs), axis=1)
+    if therm:
+        run_adiabatic(StepPlan.stack(therm), columns)
+    return columns
+
+
 def prepare_state(
     h: QubitHamiltonian,
     h0: QubitHamiltonian,
@@ -319,38 +392,84 @@ def prepare_state(
     prep: Circuit | None = None,
     initial_state: StateVector | None = None,
 ) -> StateVector | np.ndarray:
-    """The state a series starts from: ``initial_state`` as given, or
-    ``prep`` (inferred from H0 when None) followed by the thermalization.
+    """The state a series starts from: ``prepare_states`` of a batch of
+    one, as a ``StateVector``, or under noise its (4^n,) Pauli column."""
+    columns = prepare_states([h], [h0], cfg, prep, _as_columns(initial_state))
+    return columns[:, 0] if cfg.noise is not None else StateVector(h.num_qubits, columns[:, 0])
 
-    Noiseless, ``prep`` runs through ``run_circuit`` and the thermalization
-    straight from each step's term list (``run_adiabatic``), bit for bit
-    the state of ``run_circuit`` on ``prep`` + ``adiabatic_circuit``. Under
-    noise (within the density qubit limit, also for ``initial_state``) the
-    state is its (4^n,) Pauli column: the native ``prep`` and thermalization
-    (``compile_adiabatic``) run as one plan from |0...0>'s column.
+
+def _as_columns(state: StateVector | None) -> np.ndarray | None:
+    return None if state is None else state.amplitudes[:, None]
+
+
+def _measure_batch(
+    hs: list[QubitHamiltonian],
+    o: PauliString,
+    prefixes: np.ndarray,
+    times: np.ndarray,
+    cfg: ExperimentConfig,
+    shots: int | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evolve point p's column of ``prefixes`` (``prepare_states``) to each
+    time of row p of the (P, T) ``times`` and measure there; returns (P, T)
+    values and standard errors.
+
+    ``shots=None`` records exact expectation values with zero sigma (used
+    by the window pilot). Every time gets its own column, advanced by
+    evo_steps equal steps of its point's step: the P * T statevector
+    columns in one ``evolve_columns`` call on the points' stacked
+    ``compile_step`` plans; a noisy batch runs ``_measure_noisy_batch``.
+    Column k of a point samples with ``_point_seed(cfg.seed, k)``.
     """
-    noisy = cfg.noise is not None
-    if noisy:
-        check_density_size(h.num_qubits)
-    if initial_state is not None:
-        if initial_state.num_qubits != h.num_qubits:
-            raise ValueError("initial_state qubit-count mismatch")
-        amps = initial_state.amplitudes
-        return pauli_coefficients(np.outer(amps, amps.conj())) if noisy else initial_state.copy()
-    prep = prep if prep is not None else default_sgs0_circuit(h0)
-    circuit = Circuit(h.num_qubits, list(prep.gates))
-    if noisy:
-        plan = compile_gates(compile_native(circuit).gates, h.num_qubits, cfg.noise)
-        if cfg.therm_steps > 0:
-            plan += compile_adiabatic(
-                h0, h, cfg.tau, cfg.therm_steps, native=True, noise=cfg.noise
-            )
-        columns = zero_state_coefficients(h.num_qubits)[:, None]
-        return evolve_transfer(plan, columns, [0.0])[:, 0]
-    state = run_circuit(circuit)
-    if cfg.therm_steps > 0:
-        run_adiabatic(h0, h, cfg.tau, cfg.therm_steps, state.amplitudes[:, None])
-    return state
+    if cfg.noise is not None:
+        return _measure_noisy_batch(hs, o, prefixes, times, cfg, shots)
+    points, width = times.shape
+    plan = StepPlan.stack([compile_step(h) for h in hs], width)
+    columns = np.repeat(prefixes, width, axis=1)
+    evolve_columns(plan, columns, (times / cfg.evo_steps).ravel(), cfg.evo_steps)
+    if shots is None:
+        return expectations(o, columns).reshape(times.shape), np.zeros(times.shape)
+    seeds = [_point_seed(cfg.seed, k) for _ in range(points) for k in range(width)]
+    samples = sample_columns(columns, o, shots, seeds)
+    values = np.array([sample.mean for sample in samples])
+    sigmas = np.array([sample.std_error for sample in samples])
+    return values.reshape(times.shape), sigmas.reshape(times.shape)
+
+
+def _measure_noisy_batch(
+    hs: list[QubitHamiltonian],
+    o: PauliString,
+    prefixes: np.ndarray,
+    times: np.ndarray,
+    cfg: ExperimentConfig,
+    shots: int | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_measure_batch`` under ``cfg.noise``: Pauli-basis (4^n, P * T)
+    columns (``evolve_transfer``) on the stacked native steps with each
+    native gate's depolarizing channels, in blocks of at most
+    ``DENSITY_BATCH_BYTES``. A block's measurement probabilities are taken
+    at once and the block is released before its columns are sampled."""
+    width = times.shape[1]
+    plan = StepPlan.stack([compile_step(h, native=True, noise=cfg.noise) for h in hs], width)
+    dts = (times / cfg.evo_steps).ravel()
+    block = max(1, DENSITY_BATCH_BYTES // (prefixes.shape[0] * prefixes.itemsize))
+    values = np.empty(dts.size)
+    sigmas = np.zeros(dts.size)
+    for lo in range(0, dts.size, block):
+        hi = min(lo + block, dts.size)
+        batch = np.take(prefixes, np.arange(lo, hi) // width, axis=1)
+        part = replace(plan, slopes=plan.slopes[:, lo:hi], intercepts=plan.intercepts[:, lo:hi])
+        evolve_transfer(part, batch, dts[lo:hi], cfg.evo_steps)
+        if shots is None:
+            values[lo:hi] = (o.phase_coeff * batch[word_index(o.axes)]).real
+            continue
+        probs = measurement_probs(batch, o)
+        del batch
+        for k in range(lo, hi):
+            seed = _point_seed(cfg.seed, k % width)
+            sample = _sample_parity(probs[:, k - lo], o, shots, cfg.noise.readout_flip, seed)
+            values[k], sigmas[k] = sample.mean, sample.std_error
+    return values.reshape(times.shape), sigmas.reshape(times.shape)
 
 
 def _measure_series(
@@ -360,61 +479,67 @@ def _measure_series(
     times: np.ndarray,
     cfg: ExperimentConfig,
     shots: int | None,
-    clean_plan: StepPlan | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evolve to each time and measure there.
-
-    ``prefix`` is ``prepare_state``'s state, a Pauli column under noise.
-    ``shots=None`` records exact expectation values with zero sigma (used
-    by the window pilot). Every time gets its own column, advanced by
-    evo_steps equal steps of the precompiled step: statevector (2^n, T)
-    columns all at once on ``clean_plan`` (``compile_step(h)``, compiled
-    here when None); a noisy series runs ``_measure_noisy_series``.
-    """
-    if cfg.noise is not None:
-        return _measure_noisy_series(h, o, prefix, times, cfg, shots)
-    plan = clean_plan if clean_plan is not None else compile_step(h)
-    columns = np.repeat(prefix.amplitudes[:, None], len(times), axis=1)
-    evolve_columns(plan, columns, times / cfg.evo_steps, cfg.evo_steps)
-    if shots is None:
-        return expectations(o, columns), np.zeros(len(times))
-    seeds = [_point_seed(cfg.seed, k) for k in range(len(times))]
-    samples = sample_columns(columns, o, shots, seeds)
-    values = np.array([sample.mean for sample in samples])
-    return values, np.array([sample.std_error for sample in samples])
+    """``_measure_batch`` of one point from ``prepare_state``'s state, a
+    Pauli column under noise."""
+    column = prefix if cfg.noise is not None else prefix.amplitudes
+    times = np.asarray(times, dtype=float)[None, :]
+    values, sigmas = _measure_batch([h], o, column[:, None], times, cfg, shots)
+    return values[0], sigmas[0]
 
 
-def _measure_noisy_series(
-    h: QubitHamiltonian,
+def pilot_times(h: QubitHamiltonian, cfg: ExperimentConfig) -> np.ndarray:
+    """The Chebyshev times of ``auto_time_window``'s pilot: evo_steps
+    nodes on the longest window the per-step size bound allows. ValueError
+    when H has no terms, or when its coefficients are so large that the
+    spacing of those times underflows to subnormal numbers, where no
+    frequency grid can be laid."""
+    norm1 = h.coeff_one_norm()
+    if norm1 <= 0:
+        raise ValueError("Hamiltonian has no terms")
+    times = chebyshev_times(cfg.evo_steps, 0.0, cfg.max_step_norm / norm1 * cfg.evo_steps)
+    if not np.diff(times).min() >= np.finfo(float).tiny:
+        raise ValueError(f"coefficient 1-norm {norm1:.6g} spaces the pilot's times subnormally")
+    return times
+
+
+def auto_time_windows(
+    hs: list[QubitHamiltonian],
+    h0s: list[QubitHamiltonian],
     o: PauliString,
-    prefix: np.ndarray,
-    times: np.ndarray,
     cfg: ExperimentConfig,
-    shots: int | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_measure_series`` under ``cfg.noise``: Pauli-basis (4^n, T)
-    columns (``evolve_transfer``) on the native step with each native
-    gate's depolarizing channels, in blocks of at most
-    ``DENSITY_BATCH_BYTES``. A block's measurement probabilities are taken
-    at once and the block is released before its columns are sampled."""
-    plan = compile_step(h, native=True, noise=cfg.noise)
-    block = max(1, DENSITY_BATCH_BYTES // prefix.nbytes)
-    values = np.empty(len(times))
-    sigmas = np.zeros(len(times))
-    for lo in range(0, len(times), block):
-        chunk = times[lo:lo + block]
-        batch = np.repeat(prefix[:, None], len(chunk), axis=1)
-        evolve_transfer(plan, batch, chunk / cfg.evo_steps, cfg.evo_steps)
-        if shots is None:
-            values[lo:lo + len(chunk)] = (o.phase_coeff * batch[word_index(o.axes)]).real
-            continue
-        probs = measurement_probs(batch, o)
-        del batch
-        for k in range(lo, lo + len(chunk)):
-            seed = _point_seed(cfg.seed, k)
-            sample = _sample_parity(probs[:, k - lo], o, shots, cfg.noise.readout_flip, seed)
-            values[k], sigmas[k] = sample.mean, sample.std_error
-    return values, sigmas
+    prep: Circuit | None = None,
+    initial_states: np.ndarray | None = None,
+) -> list[tuple[float, float]]:
+    """Choose [0, t_max] covering ``target_periods`` oscillations, for each
+    point of a batch (``batch_key``).
+
+    One shot-free pilot series per point at the longest window allowed by
+    the per-step size bound (dt * sum|coeff| <= max_step_norm,
+    ``pilot_times``), all measured in one ``_measure_batch`` call from
+    ``prepare_states``, estimates each point's frequency with its own
+    linearized grid search; its window is then set from that guess and
+    re-clamped. Noisy configurations run the pilot noiselessly.
+    """
+    pilot_cfg = replace(cfg, noise=None)
+    times = np.array([pilot_times(h, cfg) for h in hs])
+    prefixes = prepare_states(hs, h0s, pilot_cfg, prep, initial_states)
+    values, _ = _measure_batch(hs, o, prefixes, times, pilot_cfg, None)
+    windows = []
+    for h, point_times, point_values in zip(hs, times, values):
+        dt_max = cfg.max_step_norm / h.coeff_one_norm()
+        t_pilot = dt_max * cfg.evo_steps  # longest admissible window for the pilot
+        search = frequency_grid_search(
+            TimeSeries(point_times, point_values, np.zeros_like(point_values))
+        )
+        t_max = t_pilot
+        if search.significant and search.candidates.size:
+            t_max = cfg.target_periods * 2.0 * math.pi / float(search.candidates[0])
+            step = float(chebyshev_times(cfg.evo_steps, 0.0, t_max).max() / cfg.evo_steps)
+            if step > dt_max:
+                t_max *= dt_max / step
+        windows.append((0.0, float(min(t_max, t_pilot))))
+    return windows
 
 
 def auto_time_window(
@@ -424,40 +549,43 @@ def auto_time_window(
     cfg: ExperimentConfig,
     prep: Circuit | None = None,
     initial_state: StateVector | None = None,
-    clean_plan: StepPlan | None = None,
 ) -> tuple[float, float]:
-    """Choose [0, t_max] covering ``target_periods`` oscillations.
+    """``auto_time_windows`` of a batch of one."""
+    return auto_time_windows([h], [h0], o, cfg, prep, _as_columns(initial_state))[0]
 
-    A shot-free pilot at the longest window allowed by the per-step size
-    bound (dt * sum|coeff| <= max_step_norm) estimates the frequency with
-    the linearized grid search; the window is then set from that guess and
-    re-clamped. Noisy configurations run the pilot noiselessly, on
-    ``clean_plan`` when given (see ``run_experiment``).
+
+def run_experiments(
+    hs: list[QubitHamiltonian],
+    h0s: list[QubitHamiltonian],
+    o: PauliString,
+    cfg: ExperimentConfig,
+    prep: Circuit | None = None,
+    initial_states: np.ndarray | None = None,
+    windows: list[tuple[float, float]] | None = None,
+) -> list[TimeSeries]:
+    """Full pipeline for a batch of points (``batch_key``): prepare,
+    thermalize, evolve, sample, each stage one kernel call for the batch.
+
+    ``prep`` overrides the inferred starting-superposition circuit;
+    ``initial_states``, (2^n, P) amplitudes, bypass preparation and
+    thermalization entirely (used to drive the pipeline from exactly
+    constructed superpositions, or from noiseless states
+    ``prepare_states`` already built; under noise they enter as Pauli
+    columns). ``windows`` gives each point its time window; when None,
+    every point takes ``cfg.time_window``, or ``auto_time_windows`` when
+    that is None. A column's bits do not depend on the rest of its batch.
     """
-    norm1 = h.coeff_one_norm()
-    if norm1 <= 0:
-        raise ValueError("Hamiltonian has no terms")
-    dt_max = cfg.max_step_norm / norm1
-
-    def clamp_window(t_max: float) -> float:
-        step = float(chebyshev_times(cfg.evo_steps, 0.0, t_max).max() / cfg.evo_steps)
-        if step > dt_max:
-            t_max *= dt_max / step
-        return t_max
-
-    t_pilot = dt_max * cfg.evo_steps  # longest admissible window for the pilot
-    pilot_cfg = replace(cfg, noise=None)
-    prefix = prepare_state(h, h0, pilot_cfg, prep, initial_state)
-    pilot_times = chebyshev_times(cfg.evo_steps, 0.0, t_pilot)
-    values, _ = _measure_series(h, o, prefix, pilot_times, pilot_cfg, None, clean_plan)
-    pilot = TimeSeries(pilot_times, values, np.zeros_like(values))
-    search = frequency_grid_search(pilot)
-    if search.significant and search.candidates.size:
-        guess = float(search.candidates[0])
-        t_max = clamp_window(cfg.target_periods * 2.0 * math.pi / guess)
-    else:
-        t_max = t_pilot
-    return 0.0, float(min(t_max, t_pilot))
+    for h, h0 in zip(hs, h0s, strict=True):
+        if h.num_qubits != h0.num_qubits or o.num_qubits != h.num_qubits:
+            raise ValueError("Hamiltonians and observable must share the qubit count")
+    if windows is None and cfg.time_window is not None:
+        windows = [cfg.time_window] * len(hs)
+    elif windows is None:
+        windows = auto_time_windows(hs, h0s, o, cfg, prep, initial_states)
+    times = np.array([chebyshev_times(cfg.evo_steps, *window) for window in windows])
+    prefixes = prepare_states(hs, h0s, cfg, prep, initial_states)
+    values, sigmas = _measure_batch(hs, o, prefixes, times, cfg, cfg.shots)
+    return [TimeSeries(*row) for row in zip(times, values, sigmas)]
 
 
 def run_experiment(
@@ -467,30 +595,10 @@ def run_experiment(
     cfg: ExperimentConfig,
     prep: Circuit | None = None,
     initial_state: StateVector | None = None,
-    clean_plan: StepPlan | None = None,
 ) -> TimeSeries:
-    """Full pipeline: prepare, thermalize, evolve, sample.
-
-    ``prep`` overrides the inferred starting-superposition circuit;
-    ``initial_state`` bypasses preparation and thermalization entirely
-    (used to drive the pipeline from an exactly constructed superposition,
-    or from a noiseless state ``prepare_state`` already built; under noise
-    it enters as its Pauli column). ``clean_plan``, the noiseless
-    ``compile_step(h)``, is used by every noiseless series the call runs
-    (the window pilot, and the series itself without noise), so a caller
-    can compile it once for several runs; None compiles it here. A noisy
-    series always compiles its own native step.
-    """
-    if h.num_qubits != h0.num_qubits or o.num_qubits != h.num_qubits:
-        raise ValueError("Hamiltonians and observable must share the qubit count")
-    if cfg.time_window is not None:
-        t_min, t_max = cfg.time_window
-    else:
-        t_min, t_max = auto_time_window(h, h0, o, cfg, prep, initial_state, clean_plan)
-    times = chebyshev_times(cfg.evo_steps, t_min, t_max)
-    prefix = prepare_state(h, h0, cfg, prep, initial_state)
-    values, sigmas = _measure_series(h, o, prefix, times, cfg, cfg.shots, clean_plan)
-    return TimeSeries(times, values, sigmas)
+    """``run_experiments`` of a batch of one; ``initial_state`` bypasses
+    preparation and thermalization."""
+    return run_experiments([h], [h0], o, cfg, prep, _as_columns(initial_state))[0]
 
 
 # --- frequency estimation --------------------------------------------------

@@ -169,22 +169,24 @@ class TestIsingCommand:
         import sgslab.sgs_pipeline as pipeline
 
         calls = []
-        original = pipeline.auto_time_window
+        original = pipeline.auto_time_windows
 
         def counted(*args, **kwargs):
-            calls.append(args[3])
+            calls.append(len(args[0]))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli_mod, "auto_time_window", counted)
-        monkeypatch.setattr(pipeline, "auto_time_window", counted)
+        monkeypatch.setattr(cli_mod, "auto_time_windows", counted)
+        monkeypatch.setattr(pipeline, "auto_time_windows", counted)
         cfg = small_ising_config(tmp_path, sweep=[2.2, 2.5], noise="aria")
         assert main(["ising", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        assert len(calls) == 2
+        # one pilot for the batch of both points
+        assert calls == [2]
 
     @pytest.mark.parametrize("noise", ["none", "aria"])
     def test_point_prepares_noiseless_state_once(self, tmp_path, monkeypatch, noise):
         # the window pilot and the noiseless series start from one prepared
-        # state; a noisy point prepares its own state under noise
+        # batch of states, whose shared start circuit runs once; a noisy
+        # point prepares its own state under noise
         import sgslab.sgs_pipeline as pipeline
 
         calls = []
@@ -197,13 +199,13 @@ class TestIsingCommand:
         monkeypatch.setattr(pipeline, "run_circuit", counted)
         cfg = small_ising_config(tmp_path, sweep=[2.2, 2.5], noise=noise)
         assert main(["ising", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("noise", ["none", "aria"])
-    def test_point_compiles_noiseless_step_once(self, tmp_path, monkeypatch, noise):
-        # the window pilot and the noiseless series share one noiseless
-        # plan; a noisy point compiles its native step once more
-        import sgslab.cli as cli
+    def test_each_stage_compiles_a_step_once(self, tmp_path, monkeypatch, noise):
+        # the window pilot and the noiseless series each compile every
+        # point's noiseless step once for their batch; a noisy series
+        # compiles every point's native step once more
         import sgslab.sgs_pipeline as pipeline
 
         calls = []
@@ -214,12 +216,99 @@ class TestIsingCommand:
             return original(h, native, noise)
 
         monkeypatch.setattr(pipeline, "compile_step", counted)
-        monkeypatch.setattr(cli, "compile_step", counted)
         cfg = small_ising_config(tmp_path, sweep=[2.2, 2.5], noise=noise)
         assert main(["ising", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        assert calls.count(False) == 2
+        assert calls.count(False) == 4
         assert calls.count(True) == (2 if noise == "aria" else 0)
 
+    def test_large_sweep_value_is_a_fit_error(self, tmp_path, capsys):
+        # 1e300 is large, but its pilot times stay normal numbers: the point
+        # fails to fit, with no traceback (1e308 is refused, see
+        # TestInputErrors' sweep-pilot-underflow)
+        path = tmp_path / "c.yaml"
+        write_yaml(path, {"study": "ising", "geometry": "chain", "length": 3, "sweep": [1e300]})
+        assert main(["ising", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert "fit_error" in json.loads((tmp_path / "o" / "result.json").read_text())["points"][0]
+
+
+class TestBatches:
+    """Points that share their words run as one batch, and every point of
+    a batch gets the bytes it gets alone."""
+
+    @staticmethod
+    def outputs(out):
+        points = json.loads((out / "result.json").read_text())["points"]
+        return [
+            (json.dumps(p, sort_keys=True), (out / f"series_{p['label']}.csv").read_bytes())
+            for p in points
+        ]
+
+    @pytest.mark.parametrize("case", ["chain", "chain-aria", "molecules"])
+    def test_batch_equals_points_run_alone(self, tmp_path, monkeypatch, case):
+        import sgslab.cli as cli_mod
+
+        if case == "molecules":
+            # 4-, 8- and 4-qubit inputs: two batches, the first of points 0
+            # and 2 (the H2 bond lengths differ in their basis pair, so one
+            # file twice)
+            names = [("0.735", "h2_r0735"), ("1.00", "he2_r100"), ("0.735b", "h2_r0735")]
+            raw = {
+                "study": "molecule",
+                "inputs": [
+                    {"label": label, "path": str(DATA_DIR / "molecules" / f"{name}.qubits.txt")}
+                    for label, name in names
+                ],
+                "experiment": {"tau": 2.0, "therm_steps": 5, "evo_steps": 35, "shots": 256},
+            }
+            key, sizes = "inputs", [2, 1]
+        else:
+            sweep = [2.2, 2.5, 2.8] if case == "chain" else [2.2, 2.8]
+            raw = yaml.safe_load(small_ising_config(tmp_path, sweep=sweep).read_text())
+            if case == "chain-aria":
+                raw["noise"] = "aria"
+                raw["experiment"]["shots"] = 128
+            key, sizes = "sweep", [len(sweep)]
+        batches = []
+        original = cli_mod._run_batch
+        monkeypatch.setattr(
+            cli_mod, "_run_batch", lambda job: batches.append(len(job[2])) or original(job)
+        )
+        path = tmp_path / "all.yaml"
+        write_yaml(path, raw)
+        main([raw["study"], "--config", str(path), "--out", str(tmp_path / "all")])
+        assert batches == sizes
+        together = self.outputs(tmp_path / "all")
+        for k, item in enumerate(raw[key]):
+            write_yaml(path, raw | {key: [item]})
+            main([raw["study"], "--config", str(path), "--out", str(tmp_path / f"p{k}")])
+            assert self.outputs(tmp_path / f"p{k}") == [together[k]]
+
+    def test_one_kernel_call_per_stage(self, tmp_path, monkeypatch):
+        # a 3-point noisy sweep, counted by wrapping the kernels wherever
+        # sgslab holds them: the noisy prefix and series, the window pilot
+        # and noiseless series, and the noiseless thermalization
+        import sgslab.circuit_engine as circuit_engine
+        import sgslab.noise_engine as noise_engine
+
+        calls = {}
+        for module, name in (
+            (noise_engine, "evolve_transfer"),
+            (circuit_engine, "evolve_columns"),
+            (circuit_engine, "run_adiabatic"),
+        ):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            for holder in [m for n, m in sys.modules.items() if n.split(".")[0] == "sgslab"]:
+                if getattr(holder, name, None) is original:
+                    monkeypatch.setattr(holder, name, counted)
+        cfg = small_ising_config(tmp_path, sweep=[2.2, 2.5, 2.8], noise="aria")
+        assert main(["ising", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert calls == {"evolve_transfer": 2, "evolve_columns": 2, "run_adiabatic": 1}
 
 class TestMoleculeCommand:
     def test_qubit_fixture_run(self, tmp_path):
@@ -477,6 +566,7 @@ class TestInputErrors:
         ("ising", {"experiment": {"time_window": [0, math.inf]}}, "time_window"),
         ("ising", {"j1": 0}, "config.j1"),
         ("ising", {"length": 4, "sweep": [2.0, 1e308]}, "config.sweep[1]"),
+        ("ising", {"length": 3, "sweep": [1e308]}, "config.sweep[0]"),
         ("ising", {"experiment": {"evo_steps": 10.5}}, "evo_steps"),
         ("ising", {"experiment": {"evo_steps": 3}}, "evo_steps must be >= 5"),
         ("ising", {"experiment": {"evo_steps": 4}}, "evo_steps must be >= 5"),
@@ -500,7 +590,8 @@ class TestInputErrors:
             "experiment-empty-list", "experiment-zero", "experiment-empty-string",
             "experiment-false",
             "time-window-item", "time-window-1e400", "time-window-inf", "j1-zero",
-            "sweep-norm-overflow", "evo-steps-float", "evo-steps-3", "evo-steps-4",
+            "sweep-norm-overflow", "sweep-pilot-underflow", "evo-steps-float", "evo-steps-3",
+            "evo-steps-4",
             "shots-float", "seed-float",
             "tau-text", "native-mode-removed", "independent-points-removed",
             "max-total-steps-removed", "step-allocation-removed", "study-list", "input-item", "input-directory",
@@ -579,9 +670,9 @@ class TestInputErrors:
         import sgslab.cli as cli_mod
 
         def refused(job):
-            raise AssertionError("point ran before --out was checked")
+            raise AssertionError("batch ran before --out was checked")
 
-        monkeypatch.setattr(cli_mod, "_run_point", refused)
+        monkeypatch.setattr(cli_mod, "_run_batch", refused)
         blocker = tmp_path / "some_file.csv"
         blocker.write_text("")
         if command == "ising":

@@ -726,7 +726,7 @@ class TestSeriesKernel:
         monkeypatch.setattr(
             pauli_core, "pauli_plan", lambda axes: derived.append(axes) or original(axes)
         )
-        values, sigmas = _measure_series(h, o, prefix, times, cfg, shots, plan)
+        values, sigmas = _measure_series(h, o, prefix, times, cfg, shots)
         # evolve_columns derives the step's own words; O's plan comes once
         assert [tuple(axes) for axes in derived].count(tuple(o.axes)) == 1
         monkeypatch.undo()
